@@ -75,4 +75,14 @@ JsonValue json_parse(std::string_view text);
 /// aggregator's report writer).
 std::string json_quote(const std::string& s);
 
+/// Decodes a flat counter block (a struct with a `kFields` table, see
+/// dift::CounterField) from the object its renderer wrote; absent or
+/// mistyped fields read as 0.
+template <typename S>
+S counters_from_json(const JsonValue& obj) {
+  S s;
+  for (const auto& f : S::kFields) s.*f.member = obj.u64_or(f.name, 0);
+  return s;
+}
+
 }  // namespace vpdift::campaign

@@ -8,6 +8,7 @@
 #include <thread>
 #include <type_traits>
 
+#include "campaign/hash.hpp"
 #include "campaign/thread_pool.hpp"
 #include "dift/policy_parser.hpp"
 #include "fw/attacks.hpp"
@@ -23,35 +24,105 @@ namespace {
 const soc::AesKey kDemoPin = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
                               0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
 
+// The builtin tables: resolve_firmware/resolve_policy look names up here,
+// and builtin_*_names() export the same rows to the service's content keys.
+struct BuiltinFirmware {
+  std::string_view name;
+  rvasm::Program (*make)();
+};
+const BuiltinFirmware kBuiltinFirmwares[] = {
+    {"primes", [] { return fw::make_primes(10000); }},
+    {"spin", [] { return fw::make_spin(); }},
+    {"qsort", [] { return fw::make_qsort(5000, 1); }},
+    {"dhrystone", [] { return fw::make_dhrystone(20000); }},
+    {"sha256", [] { return fw::make_sha256(1024, 64); }},
+    {"sha512", [] { return fw::make_sha512(1024, 16); }},
+    {"simple-sensor", [] { return fw::make_simple_sensor(20); }},
+    {"rtos-tasks", [] { return fw::make_rtos_tasks(100, 200); }},
+    {"immobilizer",
+     [] {
+       return fw::make_immobilizer(fw::ImmoVariant::kFixedDump, kDemoPin, 5);
+     }},
+    {"immobilizer-vulnerable",
+     [] {
+       return fw::make_immobilizer(fw::ImmoVariant::kVulnerableDump, kDemoPin,
+                                   5);
+     }},
+    {"code-reuse", [] { return fw::make_code_reuse_attack().program; }},
+};
+
+struct BuiltinPolicy {
+  std::string_view name;
+  vp::scenarios::PolicyBundle (*make)(const rvasm::Program&);
+};
+const BuiltinPolicy kBuiltinPolicies[] = {
+    {"permissive",
+     [](const rvasm::Program&) {
+       return vp::scenarios::make_permissive_policy();
+     }},
+    {"code-injection", vp::scenarios::make_code_injection_policy},
+    {"immobilizer",
+     [](const rvasm::Program& p) {
+       return vp::scenarios::make_immobilizer_policy(p, /*per_byte_pin=*/false);
+     }},
+    {"immobilizer-per-byte",
+     [](const rvasm::Program& p) {
+       return vp::scenarios::make_immobilizer_policy(p, /*per_byte_pin=*/true);
+     }},
+};
+
+template <typename Row, std::size_t N>
+std::vector<std::string> names_of(const Row (&rows)[N]) {
+  std::vector<std::string> out;
+  for (const Row& r : rows) out.emplace_back(r.name);
+  return out;
+}
+
+template <typename Row, std::size_t N>
+const Row* find_row(const Row (&rows)[N], std::string_view name) {
+  for (const Row& r : rows)
+    if (r.name == name) return &r;
+  return nullptr;
+}
+
 }  // namespace
 
 const soc::AesKey& demo_pin() { return kDemoPin; }
+
+const std::vector<std::string>& builtin_firmware_names() {
+  static const std::vector<std::string> names = names_of(kBuiltinFirmwares);
+  return names;
+}
+
+const std::vector<std::string>& builtin_policy_names() {
+  static const std::vector<std::string> names = names_of(kBuiltinPolicies);
+  return names;
+}
+
+bool is_builtin_firmware(const std::string& name) {
+  return name.rfind("attack:", 0) == 0 ||
+         find_row(kBuiltinFirmwares, name) != nullptr;
+}
+
+bool is_builtin_policy(const std::string& name) {
+  return name.empty() || find_row(kBuiltinPolicies, name) != nullptr;
+}
 
 ResolvedPolicy resolve_policy(const std::string& name,
                               const rvasm::Program& program) {
   ResolvedPolicy r;
   if (name.empty()) return r;
-  if (name == "permissive") {
-    r.bundle.emplace(vp::scenarios::make_permissive_policy());
-  } else if (name == "code-injection") {
-    r.bundle.emplace(vp::scenarios::make_code_injection_policy(program));
-  } else if (name == "immobilizer") {
-    r.bundle.emplace(
-        vp::scenarios::make_immobilizer_policy(program, /*per_byte_pin=*/false));
-  } else if (name == "immobilizer-per-byte") {
-    r.bundle.emplace(
-        vp::scenarios::make_immobilizer_policy(program, /*per_byte_pin=*/true));
-  } else {
-    // Anything else is a policy file (optionally "file:PATH").
-    const std::string path =
-        name.rfind("file:", 0) == 0 ? name.substr(5) : name;
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open policy file: " + path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    r.file.emplace(dift::PolicySpec::parse(buf.str(), &program.symbols));
+  if (const BuiltinPolicy* b = find_row(kBuiltinPolicies, name)) {
+    r.bundle.emplace(b->make(program));
     return r;
   }
+  // Anything else is a policy file (optionally "file:PATH").
+  const std::string path = name.rfind("file:", 0) == 0 ? name.substr(5) : name;
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open policy file: " + path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  r.file.emplace(dift::PolicySpec::parse(buf.str(), &program.symbols));
   return r;
 }
 
@@ -169,9 +240,8 @@ JobResult execute_once(const JobSpec& job, const RunnerEnv* env) {
   }
   if (const auto* p = policy->policy()) v.apply_policy(*p);
   if (job.analyze) {
-    // Static pre-pass: lint report rides on the result; the pin set (if the
-    // analyzer proved one) installs after the policy (apply_policy voids
-    // pins). The service env supplies a content-hash cache here.
+    // Static pre-pass: the lint report rides on the result and never
+    // changes the run. The service env supplies a content-hash cache here.
     std::shared_ptr<const sa::AnalysisResult> analysis;
     if (env && env->resolve_analysis)
       analysis = env->resolve_analysis(job.firmware, job.policy, program,
@@ -182,8 +252,6 @@ JobResult execute_once(const JobSpec& job, const RunnerEnv* env) {
       analysis = std::make_shared<sa::AnalysisResult>(
           sa::analyze(program, policy->policy(), aopts));
     }
-    if (!analysis->pinned_pcs.empty())
-      v.set_pinned_blocks(analysis->pinned_pcs);
     res.analysis = std::move(analysis);
   }
   if (job.mode == VpMode::kMonitor) v.set_monitor_mode(true);
@@ -224,22 +292,12 @@ JobResult execute_once(const JobSpec& job, const RunnerEnv* env) {
 }  // namespace
 
 std::uint64_t program_content_key(const rvasm::Program& program) {
-  // FNV-1a64, seeded with a domain string. Must stay in sync with
-  // service::WarmCache::program_key, which delegates here.
-  constexpr std::uint64_t kPrime = 0x100000001b3ull;
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix_bytes = [&](const void* p, std::size_t n) {
-    const auto* s = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) h = (h ^ s[i]) * kPrime;
-  };
-  auto mix_u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) h = (h ^ ((v >> (8 * i)) & 0xff)) * kPrime;
-  };
-  mix_bytes("program:", 8);
-  mix_u64(program.entry);
+  std::uint64_t h = fnv1a64_u64(program.entry, fnv1a64("program:"));
   for (const auto& seg : program.segments) {
-    mix_u64(seg.base);
-    mix_bytes(seg.bytes.data(), seg.bytes.size());
+    h = fnv1a64_u64(seg.base, h);
+    h = fnv1a64({reinterpret_cast<const char*>(seg.bytes.data()),
+                 seg.bytes.size()},
+                h);
   }
   return h;
 }
@@ -289,19 +347,8 @@ bool verdict_matches(const std::string& expect, const std::string& verdict) {
 }
 
 rvasm::Program resolve_firmware(const std::string& name) {
-  if (name == "primes") return fw::make_primes(10000);
-  if (name == "spin") return fw::make_spin();
-  if (name == "qsort") return fw::make_qsort(5000, 1);
-  if (name == "dhrystone") return fw::make_dhrystone(20000);
-  if (name == "sha256") return fw::make_sha256(1024, 64);
-  if (name == "sha512") return fw::make_sha512(1024, 16);
-  if (name == "simple-sensor") return fw::make_simple_sensor(20);
-  if (name == "rtos-tasks") return fw::make_rtos_tasks(100, 200);
-  if (name == "immobilizer")
-    return fw::make_immobilizer(fw::ImmoVariant::kFixedDump, kDemoPin, 5);
-  if (name == "immobilizer-vulnerable")
-    return fw::make_immobilizer(fw::ImmoVariant::kVulnerableDump, kDemoPin, 5);
-  if (name == "code-reuse") return fw::make_code_reuse_attack().program;
+  if (const BuiltinFirmware* b = find_row(kBuiltinFirmwares, name))
+    return b->make();
   if (name.rfind("attack:", 0) == 0) {
     std::int32_t id = 0;
     if (!parse_i32(name.substr(7), &id))
@@ -379,10 +426,7 @@ JobResult Runner::run_job(const JobSpec& job, const RunnerEnv* env) {
     if (attempt < max_attempts) {
       // FNV-1a of the job name seeds the jitter: two different jobs back
       // off on different schedules, the same job backs off reproducibly.
-      std::uint64_t seed = 0xcbf29ce484222325ull;
-      for (const char c : job.name)
-        seed = (seed ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-      std::this_thread::sleep_for(retry_backoff(attempt, seed));
+      std::this_thread::sleep_for(retry_backoff(attempt, fnv1a64(job.name)));
     }
   }
   res.history = std::move(history);

@@ -157,11 +157,20 @@ class Runner {
   RunnerOptions opts_;
 };
 
-/// Resolves a firmware reference: a builtin name (primes, qsort, dhrystone,
-/// sha256, sha512, simple-sensor, rtos-tasks, immobilizer,
-/// immobilizer-vulnerable, spin), "attack:N" (Table I row N), "code-reuse",
-/// or a path to an ELF32 file.
+/// Resolves a firmware reference: a builtin name (builtin_firmware_names()),
+/// "attack:N" (Table I row N), or a path to an ELF32 file.
 rvasm::Program resolve_firmware(const std::string& name);
+
+/// The builtin firmware names resolve_firmware knows (besides "attack:N").
+const std::vector<std::string>& builtin_firmware_names();
+/// The builtin policy scenario names resolve_policy knows.
+const std::vector<std::string>& builtin_policy_names();
+/// True iff resolve_firmware resolves `name` from the binary itself (a
+/// builtin name or "attack:N") rather than from a file.
+bool is_builtin_firmware(const std::string& name);
+/// True iff resolve_policy resolves `name` without a file ("" = no policy,
+/// or a builtin scenario).
+bool is_builtin_policy(const std::string& name);
 
 /// FNV-1a content hash of a resolved program (entry point + every segment's
 /// base and bytes) — the identity VpPool::acquire uses to decide whether a
@@ -203,8 +212,9 @@ struct ResolvedPolicy {
   }
 };
 
-/// Resolves a policy name (permissive, code-injection, immobilizer[-per-byte],
-/// or a policy file path) against `program`. Empty name → null policy.
+/// Resolves a policy name (a builtin_policy_names() scenario, or a policy
+/// file path, optionally "file:PATH") against `program`. Empty name → null
+/// policy.
 ResolvedPolicy resolve_policy(const std::string& name,
                               const rvasm::Program& program);
 

@@ -25,7 +25,7 @@
 //     mem-budget-mb 256        # RLIMIT_AS headroom in a service worker
 //     retries 0                # re-run attempts after a crash
 //     engine-ecu on            # attach the engine ECU across the CAN link
-//     analyze on               # static pre-pass: lint report + AOT pin set
+//     analyze on               # static pre-pass: lint report on the result
 //     expect violation:fetch-clearance   # exit[:N] | violation[:kind] |
 //                                        # timeout | wall-timeout
 //
@@ -71,8 +71,7 @@ struct JobSpec {
   int retries = 0;                ///< extra attempts after a crash
   bool engine_ecu = false;        ///< attach the engine ECU (immobilizer)
   /// Run the static analyzer over firmware x policy before execution: the
-  /// job result carries the lint report, and (dift/monitor modes) the
-  /// analyzer's plain-block pin set is installed ahead of time.
+  /// job result carries the lint report. The run itself is unchanged.
   bool analyze = false;
   std::string expect;             ///< verdict pattern; empty = "did not crash"
 

@@ -393,40 +393,10 @@ void Core<W>::wipe_fetch_memos() {
 }
 
 template <typename W>
-void Core<W>::set_pinned_blocks(std::vector<std::uint64_t> offs) {
-  std::sort(offs.begin(), offs.end());
-  pinned_offs_ = std::move(offs);
-  pins_suspended_ = false;
-  // Refresh existing translations and drop superblock state: a fused trace
-  // carries one all_pinned bit over its constituents, so traces built
-  // against a stale pin set must not survive the install.
-  for (auto& up : blocks_) {
-    if (!up) continue;
-    up->pinned = is_pinned_off(up->start_off);
-    up->trace.reset();
-    up->heat = 0;
-  }
-}
-
-template <typename W>
-void Core<W>::clear_pins() {
-  pinned_offs_.clear();
-  pins_suspended_ = false;
-  for (auto& up : blocks_) {
-    if (!up) continue;
-    up->pinned = false;
-  }
-}
-
-template <typename W>
 void Core<W>::set_policy(const dift::SecurityPolicy* policy) {
   policy_ = policy;
   exec_ = policy ? policy->execution_clearance() : dift::ExecutionClearance{};
   has_store_prot_ = policy && !policy->store_protection().empty();
-  // Pins are facts about (firmware, policy); any policy change voids them.
-  // The campaign runner re-installs the (cached) analysis result after
-  // apply_policy() when analysis is requested.
-  clear_pins();
   // Translations themselves are policy-independent (handler pointers are
   // fixed per instantiation); only the per-block fetch memos and the
   // plain-state clearance memo bind to a policy's flow table. Wiping those
@@ -736,7 +706,6 @@ void Core<W>::build_into(Block& b, std::uint64_t off) {
   }
   b.byte_len = static_cast<std::uint32_t>(cur - off);
   b.raw.assign(dmi_data_ + off, dmi_data_ + cur);
-  b.pinned = !pinned_offs_.empty() && is_pinned_off(off);
 }
 
 template <typename W>
@@ -1089,15 +1058,12 @@ void Core<W>::build_trace(Block& head) {
   }
   if (t->parts.size() >= 2) {
     std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-    bool all_pinned = true;
     for (const auto& p : t->parts) {
       lo = std::min(lo, p.off);
       hi = std::max(hi, p.off + p.len);
-      all_pinned = all_pinned && is_pinned_off(p.off);
     }
     t->lo = lo;
     t->hi = hi;
-    t->all_pinned = all_pinned && !pinned_offs_.empty();
     head.trace = std::move(t);
   } else if (!transient && !fusable) {
     head.no_trace = true;  // shape can never fuse until the block rebuilds
@@ -1215,10 +1181,6 @@ RunExit Core<W>::run(std::uint64_t max_instructions) {
       auto fn = std::move(fault_fn_);
       fault_fn_ = nullptr;
       prev = nullptr;  // the mutation may have redirected control flow
-      // The callback mutates architectural state (possibly the tag plane)
-      // outside the statically analyzed behaviour: ahead-of-time pins are
-      // void from here to the end of the run.
-      pins_suspended_ = true;
       if (fn) fn(*this);
     }
     // One interrupt-pending test per block entry. Mid-block, mip can only
@@ -1272,29 +1234,7 @@ RunExit Core<W>::run(std::uint64_t max_instructions) {
         // clearance admits ⊥, dispatch the zero-tag-work plain variant and
         // form/execute superblocks. The plain core takes the trace path
         // whenever no trace buffer is attached.
-        //
-        // Ahead-of-time pin fast path: a pinned block's window was proven
-        // (statically, against the installed policy) to only ever load from
-        // never-tainted memory, so the plain_state() re-proof — the shadow
-        // all-⊥ scan and the register rescan — is skipped. The residual
-        // runtime obligations are exactly the sticky reg-tag OR still
-        // reading ⊥ (covers every register-sourced tag the fast variants
-        // drop, including values an interrupt handler left behind) and the
-        // memoised every-clearance-admits-⊥ check.
-        bool via_pin = false;
-        bool plain;
-        if constexpr (kTainted) {
-          if (b->pinned && !pins_suspended_ && trace_ == nullptr &&
-              reg_tag_or_ == dift::kBottomTag && plain_clearances_ok()) {
-            plain = true;
-            via_pin = true;
-            ++stats_.sa_pinned_hits;
-          } else {
-            plain = plain_state();
-          }
-        } else {
-          plain = plain_state();
-        }
+        const bool plain = plain_state();
         if (plain) {
           Trace* t = b->trace.get();
           if (t && !trace_valid(*t)) {
@@ -1310,11 +1250,6 @@ RunExit Core<W>::run(std::uint64_t max_instructions) {
             b->heat = 0;
             t = b->trace.get();
           }
-          // A pin only covers the head block's window; unless every fused
-          // constituent is pinned too, a via-pin dispatch must not run the
-          // trace (its tail could load from memory the analysis did not
-          // clear for those windows).
-          if (t && via_pin && !t->all_pinned) t = nullptr;
           if (t) {
             ++stats_.superblock_hits;
             const std::uint64_t done = exec_trace(*t, budget);

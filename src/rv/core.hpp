@@ -21,7 +21,6 @@
 // bytes so self-modifying code stays correct.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -77,26 +76,6 @@ class Core {
   /// attached, blocks execute on the careful (per-instruction) path so the
   /// trace is bit-identical to single-step execution.
   void set_trace(TraceBuffer* trace) { trace_ = trace; }
-
-  // ---- ahead-of-time plain-block pinning (src/sa) ----
-
-  /// Installs the pin set computed by the static analyzer: DMI byte offsets
-  /// of block-head boundaries whose translated window provably never touches
-  /// taint under the installed policy (see docs/analysis.md for the
-  /// obligations). A pinned dispatch skips the plain_state() re-proof — the
-  /// shadow-plane scan and the register-tag rescan — and needs only the
-  /// sticky reg-tag OR to still read ⊥ plus the memoised clearance check.
-  /// The set binds to the (firmware, policy) pair: set_policy() drops it,
-  /// and a fired injected fault suspends it for the rest of the run (the
-  /// mutated state is outside the analyzed behaviour). Installing a set
-  /// resets superblock state so fused traces can never mix pinned and
-  /// unpinned constituents, and clears a previous suspension.
-  void set_pinned_blocks(std::vector<std::uint64_t> offs);
-  /// Drops the pin set and clears every per-block pin flag.
-  void clear_pins();
-  std::size_t pinned_block_count() const { return pinned_offs_.size(); }
-  /// True once a fired injected fault invalidated the pin set for this run.
-  bool pins_suspended() const { return pins_suspended_; }
 
   // ---- architectural state ----
 
@@ -253,7 +232,6 @@ class Core {
     std::vector<std::uint8_t> raw;
     std::uint64_t lo = 0;  ///< hull of constituent spans (DMI offsets)
     std::uint64_t hi = 0;
-    bool all_pinned = false;  ///< every constituent block is pinned
   };
 
   /// One translated basic block: a run of micro-ops ending at the first
@@ -285,7 +263,6 @@ class Core {
     std::unique_ptr<Trace> trace;
     std::uint32_t heat = 0;
     bool no_trace = false;
-    bool pinned = false;  ///< head is in the analyzer's pin set
   };
 
   /// Upper bound on micro-ops per block (straight-line runs longer than this
@@ -392,16 +369,6 @@ class Core {
   const std::uint8_t* plain_ok_flow_ = nullptr;
   bool plain_ok_ = false;
   bool plain_ok_valid_ = false;
-
-  // Ahead-of-time pin set (sorted DMI byte offsets of pinned block heads).
-  // Blocks mark themselves pinned at (re)translation via binary search;
-  // pins_suspended_ latches once a fired injected fault leaves the analyzed
-  // behaviour envelope.
-  std::vector<std::uint64_t> pinned_offs_;
-  bool pins_suspended_ = false;
-  bool is_pinned_off(std::uint64_t off) const {
-    return std::binary_search(pinned_offs_.begin(), pinned_offs_.end(), off);
-  }
 
   const dift::SecurityPolicy* policy_ = nullptr;
   dift::ExecutionClearance exec_;

@@ -172,7 +172,7 @@ class Analyzer {
     std::optional<RegState> over;  ///< widened join of everything past the cap
     int over_joins = 0;
     std::set<int> funcs;  ///< structural containing-function ids
-    // Cumulative access facts (pin-window safety + SMC/lint, judged at end).
+    // Cumulative access facts (SMC/lint, judged at end).
     AccKind acc = AccKind::kNone;
     std::uint64_t acc_lo = 0, acc_hi = 0;
     bool is_store = false;
@@ -371,7 +371,6 @@ class Analyzer {
     if (overlaps(s, am::kAesBase + soc::AesPeriph::kInput, 16))
       grow_tag(aes_ub_, data);
     if (overlaps(s, am::kDmaBase + soc::Dma::kCtrl, 4)) {
-      dma_engaged_ = true;
       // The DMA copies RAM->RAM with tags the analyzer does not track
       // per-transfer; everything it could have read may now be anywhere.
       if (program_ub_ != kBottomTag) poison();
@@ -457,29 +456,6 @@ class Analyzer {
   void process(std::uint32_t pc, const RegState& in);
 
   // ---- final passes -------------------------------------------------------
-  bool pin_safe_access(const PcInfo& pi) const {
-    switch (pi.acc) {
-      case AccKind::kNone:
-        return true;
-      case AccKind::kMmio:
-        // Plain blocks run full tag semantics on the bus path (and break out
-        // of the block on any non-bottom tag), so MMIO is always pin-safe.
-        return true;
-      case AccKind::kRam: {
-        if (ram_taint(pi.acc_lo, pi.acc_hi) != kBottomTag) return false;
-        if (pol_)  // the plain store path skips the integrity-protection check
-          for (const auto& p : pol_->store_protection())
-            if (pi.is_store && pi.acc_lo < p.base + p.size &&
-                pi.acc_hi >= p.base)
-              return false;
-        return true;
-      }
-      case AccKind::kWide:
-        return false;
-    }
-    return false;
-  }
-
   AnalysisResult finish();
 
   // ---- members ------------------------------------------------------------
@@ -514,9 +490,6 @@ class Analyzer {
   std::set<std::uint32_t> unresolved_;
 
   bool mtvec_unknown_ = false;
-  bool reachable_mret_ = false;
-  bool wide_store_ = false;
-  bool dma_engaged_ = false;
   bool budget_out_ = false;
   bool image_bad_ = false;
   bool uart_tx_stored_ = false, can_tx_stored_ = false,
@@ -700,7 +673,6 @@ void Analyzer::process(std::uint32_t pc, const RegState& in) {
       record_access(pi, s, /*store=*/true, data.t);
       if (data.t != kBottomTag) pi.taint_touch = true;
       if (s.wide) {
-        wide_store_ = true;
         if (data.t != kBottomTag) {
           poison();
           grow_tag(aes_ub_, data.t);
@@ -719,9 +691,8 @@ void Analyzer::process(std::uint32_t pc, const RegState& in) {
                         "store into an integrity-protected region");
       } else if (s.hi < base_) {
         mmio_store(s, data.t, pc);
-      } else {
-        wide_store_ = true;
-        if (data.t != kBottomTag) poison();
+      } else if (data.t != kBottomTag) {
+        poison();
       }
       fall(in);
       return;
@@ -805,7 +776,6 @@ void Analyzer::process(std::uint32_t pc, const RegState& in) {
       return;
     }
     case Op::kMret:
-      reachable_mret_ = true;
       branch_check(csr_ub_, pc, "core.mret");
       return;  // return-to-interrupted-context: no static successor
     case Op::kFence:
@@ -1051,60 +1021,7 @@ AnalysisResult Analyzer::finish() {
     }
   }
 
-  // ---- pin computation -----------------------------------------------------
-  const bool escape_free = r.complete && !reachable_mret_ && !wide_store_ &&
-                           !poisoned_ && !dma_engaged_ && r.smc_stores.empty();
-  if (r.taint_free && !image_bad_ && !budget_out_) {
-    // Tier A: the policy admits no non-bottom tag anywhere, so skipping the
-    // plain-state re-proof is sound at every boundary regardless of CFG
-    // completeness (unanalyzed boundaries simply stay unpinned).
-    r.pin_mode = "taint-free";
-    for (const auto& [pc, pi] : pcs_) r.pinned_pcs.push_back(pc);
-  } else if (escape_free) {
-    // Tier B: per-window proofs. A boundary is pinnable when every
-    // instruction from it to the next block terminator touches only
-    // never-tainted RAM or pure MMIO (full semantics on the bus path), and
-    // the code bytes themselves can never be tainted. The runtime guard
-    // (reg_tag_or_ == bottom) covers every register-sourced obligation.
-    r.pin_mode = "windowed";
-    // safe_from[off]: the run from half-word offset `off` to the terminator
-    // meets all memory obligations. Computed backwards; offsets beyond the
-    // extent decode zeros -> illegal -> terminator, so the recursion bases
-    // out at the extent edge.
-    const std::size_t hw = image_.size() / 2;
-    std::vector<std::uint8_t> safe_from(hw + 1, 1);
-    for (std::size_t i = hw; i-- > 0;) {
-      const std::uint64_t off = i * 2;
-      const Insn insn = rv::decode_any(fetch_u32(off));
-      bool ok = true;
-      // Code bytes of this instruction must be untaintable.
-      if (poisoned_ || ram_taint(base_ + off, base_ + off + insn.len - 1) !=
-                           kBottomTag)
-        ok = false;
-      const InsnClass c = classify(insn);
-      if (c == InsnClass::kLoad || c == InsnClass::kStore) {
-        const auto it = pcs_.find(static_cast<std::uint32_t>(base_ + off));
-        ok = ok && it != pcs_.end() && pin_safe_access(it->second);
-      }
-      if (c == InsnClass::kTerminator)
-        safe_from[i] = ok;
-      else {
-        const std::size_t nxt = i + insn.len / 2;
-        safe_from[i] = ok && (nxt <= hw ? safe_from[nxt] : 1);
-      }
-    }
-    for (const auto& [pc, pi] : pcs_) {
-      const std::uint64_t off = pc - base_;
-      if (off / 2 < safe_from.size() && safe_from[off / 2])
-        r.pinned_pcs.push_back(pc);
-    }
-    if (r.pinned_pcs.empty()) r.pin_mode = "none";
-  }
-  std::sort(r.pinned_pcs.begin(), r.pinned_pcs.end());
-
   // ---- basic blocks --------------------------------------------------------
-  const std::set<std::uint64_t> pin_set(r.pinned_pcs.begin(),
-                                        r.pinned_pcs.end());
   std::optional<BlockSummary> cur;
   std::uint32_t expected_next = 0;
   for (const auto& [pc, pi] : pcs_) {
@@ -1115,7 +1032,7 @@ AnalysisResult Analyzer::finish() {
       cur.reset();
     }
     if (!cur) {
-      cur = BlockSummary{pc, pc, false, pin_set.count(pc) != 0};
+      cur = BlockSummary{pc, pc, false};
     }
     cur->end = pc + insn.len;
     cur->touches_taint |= pi.taint_touch;

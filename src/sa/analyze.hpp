@@ -21,12 +21,14 @@
 //      into one widened join state; interval bounds lost to widening are
 //      recovered through branch refinement (beq/bne/bltu/bgeu).
 //
-//   3. Policy lint + pinning — statically reachable clearance violations
-//      (a source reaching a sink without a sanctioned declassification),
-//      dead flow rules, unused declassification grants, unreachable
-//      clearance sites, SMC-capable stores; plus the set of "plain-pinnable"
-//      instruction boundaries fed to rv::Core::set_pinned_blocks (see
-//      pin_mode below for the two soundness tiers).
+//   3. Policy lint — statically reachable clearance violations (a source
+//      reaching a sink without a sanctioned declassification), dead flow
+//      rules, unused declassification grants, unreachable clearance sites,
+//      SMC-capable stores.
+//
+// The analysis only reports: execution never consults it. The core's
+// dynamic taint-liveness gate alone chooses between the plain and the
+// tainted block variants.
 //
 // Soundness caveats are documented in docs/analysis.md (DMA, MMIO readback
 // conservatism, the structural-return assumption, trap-handler modelling).
@@ -43,7 +45,7 @@
 namespace vpdift::sa {
 
 /// Coarse instruction classification driving the analyzer's transfer
-/// functions and the pin-window safety scan. Exactly one class per Op.
+/// functions. Exactly one class per Op.
 enum class InsnClass : std::uint8_t {
   kTerminator,  ///< ends a translated block (rv::is_block_terminator)
   kBranch,      ///< conditional branch (falls through inside a block)
@@ -89,7 +91,6 @@ struct BlockSummary {
   std::uint64_t start = 0;
   std::uint64_t end = 0;           ///< exclusive
   bool touches_taint = false;      ///< may load/store non-bottom data or trip a check
-  bool pinned = false;             ///< start is in the pinned set
 };
 
 struct AnalysisResult {
@@ -105,24 +106,14 @@ struct AnalysisResult {
   std::vector<std::uint64_t> smc_stores;            ///< store pcs that may hit code
 
   /// CFG closed: every indirect resolved, every trap vector known, budget
-  /// not exhausted. Required for windowed pinning, not for taint-free.
+  /// not exhausted.
   bool complete = false;
   /// The policy introduces no non-bottom tag anywhere (no classified
-  /// memory/inputs, no declassification targets) — tier-A pinning.
+  /// memory/inputs, no declassification targets).
   bool taint_free = false;
 
   std::vector<Finding> findings;
   std::size_t reachable_violations = 0;  ///< count of reachable-violation findings
-
-  /// "taint-free": every reachable boundary pinned (no tag can ever exist).
-  /// "windowed":   per-window memory-obligation proofs (tier B).
-  /// "none":       pinning disabled (incomplete CFG / escape hatches tripped).
-  std::string pin_mode = "none";
-  std::vector<std::uint64_t> pinned_pcs;  ///< sorted guest addresses
-
-  /// FNV-1a64 over the sorted pin set (0 when empty) — the identity the CI
-  /// analyzer smoke gate compares against.
-  std::uint64_t pin_hash() const;
 };
 
 struct AnalyzeOptions {

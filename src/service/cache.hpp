@@ -16,8 +16,8 @@
 //                  This is what makes a repeated fi golden run free.
 //   * analysis   — sa::AnalysisResult keyed by (program content, policy
 //                  content, RAM size): a warm resubmission of an analyze
-//                  job reuses the lint report and pin set without re-running
-//                  the abstract interpreter.
+//                  job reuses the lint report without re-running the
+//                  abstract interpreter.
 //   * fault site — one fi::FiSiteCache per (firmware content, seed): the
 //                  snapshots taken along a suite's golden cursor plus the
 //                  cursor outcome. The fault schedule is a deterministic
@@ -35,44 +35,63 @@
 #include <string>
 
 #include "campaign/runner.hpp"
+#include "dift/stats.hpp"
 #include "fi/fork.hpp"
 #include "fi/suite.hpp"
 #include "rvasm/program.hpp"
 
 namespace vpdift::service {
 
+// The cache and resilience counters, one X(field) row each. The resilience
+// rows (from hung_jobs on) are incremented by the server's supervision loop,
+// not by the caches; they ride in the same block so the report JSON and the
+// CI smoke gates see one consistent counter schema.
+#define VPDIFT_CACHE_STATS_FIELDS(X)                                           \
+  X(elf_hits)                                                                  \
+  X(elf_misses)                                                                \
+  X(policy_hits)                                                               \
+  X(policy_misses)                                                             \
+  X(golden_cache_hits)                                                         \
+  X(golden_cache_misses)                                                       \
+  X(analysis_hits)                                                             \
+  X(analysis_misses)                                                           \
+  X(snapshot_hits)                                                             \
+  X(snapshot_misses)                                                           \
+  X(vp_builds)                                                                 \
+  X(vp_reuses)                                                                 \
+  /* VP re-arms that also kept the core's translated-block cache warm */      \
+  /* (firmware content hash unchanged, see VpPool::acquire) */                \
+  X(translation_reuses)                                                        \
+  /* instructions actually retired (cache hits retire none): the number */    \
+  /* the warm-vs-cold acceptance check compares */                            \
+  X(executed_instret)                                                          \
+  X(hung_jobs) /* jobs killed by deadline/heartbeat escalation ("hung") */     \
+  X(killed_workers) /* crashed, killed externally, or escalated workers */     \
+  X(shed_submissions) /* submissions rejected "overloaded" */                  \
+  X(heartbeat_misses) /* busy workers silent past the heartbeat timeout */
+
 /// Counter block describing the cache behaviour of some span of work (one
 /// op, one submission, or a worker's lifetime — deltas subtract cleanly).
 struct CacheStats {
-  std::uint64_t elf_hits = 0, elf_misses = 0;
-  std::uint64_t policy_hits = 0, policy_misses = 0;
-  std::uint64_t golden_cache_hits = 0, golden_cache_misses = 0;
-  std::uint64_t analysis_hits = 0, analysis_misses = 0;
-  std::uint64_t snapshot_hits = 0, snapshot_misses = 0;
-  std::uint64_t vp_builds = 0, vp_reuses = 0;
-  /// VP re-arms that also kept the core's translated-block cache warm
-  /// (firmware content hash unchanged — see VpPool::acquire).
-  std::uint64_t translation_reuses = 0;
-  /// Instructions actually retired (cache hits retire none) — the number
-  /// the warm-vs-cold acceptance check compares.
-  std::uint64_t executed_instret = 0;
+#define VPDIFT_DECLARE(field) std::uint64_t field = 0;
+  VPDIFT_CACHE_STATS_FIELDS(VPDIFT_DECLARE)
+#undef VPDIFT_DECLARE
 
-  // Resilience counters (incremented by the server's supervision loop, not
-  // by the caches; they ride in the same block so the report JSON and the
-  // CI smoke gates see one consistent counter schema).
-  std::uint64_t hung_jobs = 0;         ///< jobs killed by deadline/heartbeat
-                                       ///< escalation (verdict "hung")
-  std::uint64_t killed_workers = 0;    ///< involuntary worker deaths: crashed,
-                                       ///< killed externally, or escalated
-  std::uint64_t shed_submissions = 0;  ///< submissions rejected "overloaded"
-  std::uint64_t heartbeat_misses = 0;  ///< busy workers silent past the
-                                       ///< heartbeat timeout
+  static constexpr dift::CounterField<CacheStats> kFields[] = {
+#define VPDIFT_ROW(field) {#field, &CacheStats::field},
+      VPDIFT_CACHE_STATS_FIELDS(VPDIFT_ROW)
+#undef VPDIFT_ROW
+  };
 
-  CacheStats& operator+=(const CacheStats& o);
-  CacheStats operator-(const CacheStats& o) const;
+  CacheStats& operator+=(const CacheStats& o) {
+    return dift::add_counters(*this, o);
+  }
+  CacheStats operator-(const CacheStats& o) const {
+    return dift::sub_counters(*this, o);
+  }
 
-  /// One flat JSON object, e.g. {"elf_hits":3,...,"executed_instret":12}.
-  std::string to_json() const;
+  /// One flat JSON object, e.g. {"elf_hits":3,...,"heartbeat_misses":0}.
+  std::string to_json() const { return dift::counters_to_json(*this); }
 };
 
 /// Parses a CacheStats from the JSON object `to_json` produced (absent or

@@ -80,8 +80,7 @@ std::string analysis_to_json(const sa::AnalysisResult& r) {
     const sa::BlockSummary& b = r.blocks[i];
     o << (i ? "," : "") << "{\"start\":" << num(b.start)
       << ",\"end\":" << num(b.end)
-      << ",\"taint\":" << (b.touches_taint ? "true" : "false")
-      << ",\"pinned\":" << (b.pinned ? "true" : "false") << "}";
+      << ",\"taint\":" << (b.touches_taint ? "true" : "false") << "}";
   }
   o << "],\"trap_entries\":" << pc_list(r.trap_entries)
     << ",\"call_entries\":" << pc_list(r.call_entries)
@@ -97,9 +96,7 @@ std::string analysis_to_json(const sa::AnalysisResult& r) {
       << ",\"reachable\":" << (f.reachable ? "true" : "false")
       << ",\"detail\":" << json_quote(f.detail) << "}";
   }
-  o << "],\"reachable_violations\":" << r.reachable_violations
-    << ",\"pin_mode\":" << json_quote(r.pin_mode)
-    << ",\"pinned_pcs\":" << pc_list(r.pinned_pcs) << "}";
+  o << "],\"reachable_violations\":" << r.reachable_violations << "}";
   return o.str();
 }
 
@@ -120,7 +117,6 @@ sa::AnalysisResult analysis_from_json(const campaign::JsonValue& obj) {
       b.start = e.u64_or("start", 0);
       b.end = e.u64_or("end", 0);
       b.touches_taint = e.bool_or("taint", false);
-      b.pinned = e.bool_or("pinned", false);
       r.blocks.push_back(b);
     }
   }
@@ -144,8 +140,6 @@ sa::AnalysisResult analysis_from_json(const campaign::JsonValue& obj) {
   }
   r.reachable_violations =
       static_cast<std::size_t>(obj.u64_or("reachable_violations", 0));
-  r.pin_mode = obj.str_or("pin_mode", "none");
-  r.pinned_pcs = pc_list_from(obj.find("pinned_pcs"));
   return r;
 }
 
@@ -258,27 +252,7 @@ campaign::JobResult job_result_from_json(const campaign::JsonValue& obj) {
   run.markers = runv->str_or("markers", "");
   if (const JsonValue* st = runv->find("stats");
       st && st->kind == JsonValue::Kind::kObject) {
-    dift::DiftStats& s = run.stats;
-    s.lub_calls = st->u64_or("lub_calls", 0);
-    s.flow_checks = st->u64_or("flow_checks", 0);
-    s.decode_hits = st->u64_or("decode_hits", 0);
-    s.decode_misses = st->u64_or("decode_misses", 0);
-    s.block_hits = st->u64_or("block_hits", 0);
-    s.block_misses = st->u64_or("block_misses", 0);
-    s.block_invalidations = st->u64_or("block_invalidations", 0);
-    s.chained_transfers = st->u64_or("chained_transfers", 0);
-    s.fetch_summary_hits = st->u64_or("fetch_summary_hits", 0);
-    s.load_summary_hits = st->u64_or("load_summary_hits", 0);
-    s.mem_summary_hits = st->u64_or("mem_summary_hits", 0);
-    s.dma_summary_hits = st->u64_or("dma_summary_hits", 0);
-    s.bus_transactions = st->u64_or("bus_transactions", 0);
-    s.plain_variant_hits = st->u64_or("plain_variant_hits", 0);
-    s.tainted_variant_hits = st->u64_or("tainted_variant_hits", 0);
-    s.variant_promotions = st->u64_or("variant_promotions", 0);
-    s.superblock_hits = st->u64_or("superblock_hits", 0);
-    s.superblock_transfers = st->u64_or("superblock_transfers", 0);
-    s.sa_pinned_blocks = st->u64_or("sa_pinned_blocks", 0);
-    s.sa_pinned_hits = st->u64_or("sa_pinned_hits", 0);
+    run.stats = campaign::counters_from_json<dift::DiftStats>(*st);
   }
   return r;
 }

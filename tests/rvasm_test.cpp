@@ -79,6 +79,10 @@ struct RTypeCase {
   rv::Op op;
 };
 
+// Readable ctest names: print the case name instead of the struct's bytes,
+// which hold load addresses and padding that differ on every run.
+void PrintTo(const RTypeCase& c, std::ostream* os) { *os << c.name; }
+
 class RTypeRoundTrip : public ::testing::TestWithParam<RTypeCase> {};
 
 TEST_P(RTypeRoundTrip, AllRegisterCombos) {

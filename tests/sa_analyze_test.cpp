@@ -1,12 +1,12 @@
 // Tests for the static firmware analysis subsystem (src/sa): instruction
 // classification vs the decoder, CFG recovery edge cases, the immobilizer
-// lint acceptance pair, pin-vs-unpinned execution parity on the Table II
-// workloads, the report round trips and the service-side analysis cache.
+// lint acceptance pair, analyze-on vs analyze-off execution parity through
+// the campaign runner, the report round trips and the service-side analysis
+// cache.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <ostream>
 #include <string>
-#include <vector>
 
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
@@ -36,8 +36,8 @@ const soc::AesKey kPin = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
 // The one consistency contract classify() must honour instruction-for-
 // instruction: terminator status agrees with rv::is_block_terminator, and
 // the load/store/branch buckets agree with the opcode's semantics. A
-// disagreement would let the pin-safety window scan skip (or double-count)
-// an instruction the core actually executes.
+// disagreement would let the analyzer's transfer functions skip (or
+// double-count) an instruction the core actually executes.
 void check_classify(const rv::Insn& insn) {
   const sa::InsnClass c = sa::classify(insn);
   EXPECT_EQ(c == sa::InsnClass::kTerminator, rv::is_block_terminator(insn.op))
@@ -104,11 +104,9 @@ TEST(SaCfg, StraightLineCallGraphIsComplete) {
   const sa::AnalysisResult r = sa::analyze(prog, nullptr);
   EXPECT_TRUE(r.complete);
   EXPECT_TRUE(r.taint_free);  // no policy: nothing can carry taint
-  EXPECT_EQ(r.pin_mode, "taint-free");
   EXPECT_TRUE(r.unresolved_indirects.empty());
   EXPECT_GE(r.call_entries.size(), 2u);  // main + double_it at least
   EXPECT_GT(r.reachable_instructions, 0u);
-  EXPECT_FALSE(r.pinned_pcs.empty());
   // Every recovered block boundary is inside the image.
   for (const sa::BlockSummary& b : r.blocks) {
     EXPECT_GE(b.start, prog.segments.front().base);
@@ -140,9 +138,6 @@ TEST(SaCfg, UnresolvableIndirectMarksIncomplete) {
   for (const sa::Finding& f : r.findings)
     found = found || f.kind == "unresolved-indirect";
   EXPECT_TRUE(found);
-  // Taint-free pinning survives an incomplete CFG (no tag can ever exist,
-  // so an undiscovered block is still safe to pin).
-  EXPECT_EQ(r.pin_mode, "taint-free");
 }
 
 TEST(SaCfg, SelfModifyingStoreIsFlagged) {
@@ -187,17 +182,14 @@ TEST(SaLint, FixedImmobilizerIsClean) {
   const sa::AnalysisResult r = sa::analyze(prog, &bundle.policy);
   EXPECT_TRUE(r.complete);
   EXPECT_EQ(r.reachable_violations, 0u) << sa::to_text(r);
-  // The fixed firmware still pins: tier-B windowed mode.
-  EXPECT_EQ(r.pin_mode, "windowed");
-  EXPECT_FALSE(r.pinned_pcs.empty());
 }
 
 TEST(SaLint, BgeuFallThroughKeepsUpperBoundSound) {
   // Regression: the bgeu not-taken edge means rs1 < rs2, so rs1 may be as
   // large as hi(rs2) - 1. An earlier version refined rs1 against
   // lo(rs2) - 1 instead; with the non-singleton bound below that hid the
-  // classified byte at buf[5] from the load span, the leak lint came back
-  // clean, and the leaking block was wrongly declared pin-safe.
+  // classified byte at buf[5] from the load span and the leak lint came
+  // back clean.
   rvasm::Assembler a(soc::addrmap::kRamBase);
   fw::emit_crt0(a);
   a.label("main");
@@ -234,14 +226,13 @@ TEST(SaLint, BgeuFallThroughKeepsUpperBoundSound) {
     leak |= f.kind == "reachable-violation" && f.where == "uart0.tx";
   EXPECT_TRUE(leak) << sa::to_text(r);
   EXPECT_GE(r.reachable_violations, 1u);
-  // The block holding the tainted load must be held out of the pin set.
+  // The block holding the tainted load must be marked as touching taint.
   const std::uint64_t pc = prog.symbol("leak");
   bool found_block = false;
   for (const sa::BlockSummary& b : r.blocks)
     if (b.start <= pc && pc < b.end) {
       found_block = true;
       EXPECT_TRUE(b.touches_taint) << sa::to_text(r);
-      EXPECT_FALSE(b.pinned) << sa::to_text(r);
     }
   EXPECT_TRUE(found_block);
 }
@@ -260,93 +251,99 @@ TEST(SaLint, CodeInjectionAttackPredictedStatically) {
   EXPECT_TRUE(fetch) << sa::to_text(r);
 }
 
-// ---- pin-vs-unpinned execution parity ----
+// ---- analyze-on vs analyze-off execution parity ----
 
 struct ParityCase {
   const char* name;
-  rvasm::Program (*make)();
+  const char* firmware;  ///< builtin name ("" = `make` builds the program)
+  const char* policy;
   bool engine_ecu;
+  std::uint64_t max_ms;
+  rvasm::Program (*make)();
+  std::uint64_t instret;  ///< expected retirement count (0 = unchecked)
+  const char* expect;
 };
 
-rvasm::Program small_qsort() { return fw::make_qsort(400, 1234); }
-rvasm::Program small_dhrystone() { return fw::make_dhrystone(2000); }
-rvasm::Program small_primes() { return fw::make_primes(300); }
-rvasm::Program small_sha512() { return fw::make_sha512(256, 2); }
-rvasm::Program small_sha256() { return fw::make_sha256(256, 4); }
+// Readable ctest names: print the case name instead of the struct's bytes.
+void PrintTo(const ParityCase& c, std::ostream* os) { *os << c.name; }
+
 rvasm::Program small_crc32() { return fw::make_crc32(256, 4); }
 rvasm::Program small_matmul() { return fw::make_matmul(12); }
-rvasm::Program small_sensor() { return fw::make_simple_sensor(5); }
-rvasm::Program small_rtos() { return fw::make_rtos_tasks(20, 200); }
-rvasm::Program small_immo() {
-  return fw::make_immobilizer(fw::ImmoVariant::kFixedDump, kPin, 3);
+
+campaign::JobSpec parity_job(const ParityCase& pc, bool analyze) {
+  campaign::JobSpec job;
+  job.name = pc.name;
+  job.firmware = pc.firmware;
+  if (pc.make) job.make_program = pc.make;
+  job.policy = pc.policy;
+  job.mode = campaign::VpMode::kDift;
+  job.engine_ecu = pc.engine_ecu;
+  job.max_ms = pc.max_ms;
+  job.expect = pc.expect;
+  job.analyze = analyze;
+  return job;
 }
 
-class SaPinParity : public ::testing::TestWithParam<ParityCase> {};
+class SaAnalyzeParity : public ::testing::TestWithParam<ParityCase> {};
 
-// The ahead-of-time pin set must be execution-invisible: same instruction
-// count, same exit, same UART bytes — only the dispatch statistics may
-// differ. One run per workload without pins, one with.
-TEST_P(SaPinParity, InstretIsBitIdentical) {
+// The analyzer only reports: a job with `analyze on` must run exactly like
+// the same job without it — same verdict, retirement count, exit, UART
+// bytes, simulated time and every engine counter — and carry the report.
+TEST_P(SaAnalyzeParity, RunIsBitIdentical) {
   const ParityCase& pc = GetParam();
-  const rvasm::Program prog = pc.make();
-
-  vp::VpConfig cfg;
-  if (std::string(pc.name) == "simple-sensor")
-    cfg.sensor_period = sysc::Time::us(200);
-  if (pc.engine_ecu) {
-    cfg.with_engine_ecu = true;
-    cfg.engine_pin = kPin;
-    cfg.engine_period = sysc::Time::ms(2);
+  const campaign::JobResult off =
+      campaign::Runner::run_job(parity_job(pc, false));
+  const campaign::JobResult on =
+      campaign::Runner::run_job(parity_job(pc, true));
+  ASSERT_TRUE(off.ok) << off.verdict << " " << off.error;
+  EXPECT_FALSE(off.analysis);
+  ASSERT_TRUE(on.analysis);
+  if (pc.instret) {
+    EXPECT_EQ(off.run.instret, pc.instret);
   }
-
-  auto run_one = [&](bool pinned) {
-    vp::VpDift v(cfg);
-    v.load(prog);
-    auto bundle = pc.engine_ecu
-                      ? vp::scenarios::make_immobilizer_policy(prog, false)
-                      : vp::scenarios::make_permissive_policy();
-    v.apply_policy(bundle.policy);
-    if (pinned) {
-      const sa::AnalysisResult r = sa::analyze(prog, &bundle.policy);
-      EXPECT_NE(r.pin_mode, "none") << pc.name;
-      v.set_pinned_blocks(r.pinned_pcs);
-    }
-    return v.run(sysc::Time::sec(60));
-  };
-
-  const vp::RunResult base = run_one(false);
-  const vp::RunResult pin = run_one(true);
-  ASSERT_TRUE(base.exited()) << pc.name;
-  EXPECT_EQ(base.instret, pin.instret) << pc.name;
-  EXPECT_EQ(base.exit_code, pin.exit_code) << pc.name;
-  EXPECT_EQ(base.uart_output, pin.uart_output) << pc.name;
-  EXPECT_EQ(base.stats.sa_pinned_blocks, 0u);
-  EXPECT_GT(pin.stats.sa_pinned_blocks, 0u) << pc.name;
-  EXPECT_GT(pin.stats.sa_pinned_hits, 0u) << pc.name;
+  EXPECT_EQ(on.verdict, off.verdict);
+  EXPECT_EQ(on.run.instret, off.run.instret);
+  EXPECT_EQ(static_cast<int>(on.run.reason), static_cast<int>(off.run.reason));
+  EXPECT_EQ(on.run.exit_code, off.run.exit_code);
+  EXPECT_EQ(on.run.uart_output, off.run.uart_output);
+  EXPECT_EQ(on.run.sim_time.picos(), off.run.sim_time.picos());
+  EXPECT_EQ(dift::to_json(on.run.stats), dift::to_json(off.run.stats));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Table2Workloads, SaPinParity,
-    ::testing::Values(ParityCase{"qsort", small_qsort, false},
-                      ParityCase{"dhrystone", small_dhrystone, false},
-                      ParityCase{"primes", small_primes, false},
-                      ParityCase{"sha512", small_sha512, false},
-                      ParityCase{"sha256", small_sha256, false},
-                      ParityCase{"crc32", small_crc32, false},
-                      ParityCase{"matmul", small_matmul, false},
-                      ParityCase{"simple-sensor", small_sensor, false},
-                      ParityCase{"rtos-tasks", small_rtos, false},
-                      ParityCase{"immo-fixed", small_immo, true}),
-    [](const auto& info) {
-      std::string n = info.param.name;
-      for (auto& c : n)
-        if (c == '-') c = '_';
-      return n;
-    });
+    Workloads, SaAnalyzeParity,
+    ::testing::Values(
+        ParityCase{"primes", "primes", "permissive", false, 10000, nullptr, 0,
+                   "exit:0"},
+        ParityCase{"qsort", "qsort", "permissive", false, 10000, nullptr, 0,
+                   "exit:0"},
+        ParityCase{"dhrystone", "dhrystone", "permissive", false, 10000,
+                   nullptr, 0, "exit:0"},
+        ParityCase{"sha256", "sha256", "permissive", false, 10000, nullptr, 0,
+                   "exit:0"},
+        ParityCase{"sha512", "sha512", "permissive", false, 10000, nullptr, 0,
+                   "exit:0"},
+        ParityCase{"crc32", "", "permissive", false, 10000, small_crc32, 0,
+                   "exit:0"},
+        ParityCase{"matmul", "", "permissive", false, 10000, small_matmul, 0,
+                   "exit:0"},
+        ParityCase{"simple_sensor", "simple-sensor", "permissive", false,
+                   10000, nullptr, 0, "exit:0"},
+        ParityCase{"rtos_tasks", "rtos-tasks", "permissive", false, 10000,
+                   nullptr, 0, "exit:0"},
+        ParityCase{"immobilizer", "immobilizer", "immobilizer", true, 10000,
+                   nullptr, 0, "exit:0"},
+        // No engine ECU answers, so the firmware polls the CAN link for the
+        // whole 200 ms budget.
+        ParityCase{"immobilizer_no_ecu", "immobilizer", "immobilizer", false,
+                   200, nullptr, 20004864, "timeout"},
+        ParityCase{"attack_3", "attack:3", "code-injection", false, 10000,
+                   nullptr, 0, "violation:fetch-clearance"}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // ---- campaign integration ----
 
-TEST(SaCampaign, AnalyzeJobCarriesReportAndPins) {
+TEST(SaCampaign, AnalyzeJobCarriesReport) {
   campaign::JobSpec job;
   job.name = "immo";
   job.firmware = "immobilizer";
@@ -358,13 +355,11 @@ TEST(SaCampaign, AnalyzeJobCarriesReportAndPins) {
   ASSERT_NE(r.verdict, "crash") << r.error;
   ASSERT_TRUE(r.analysis);
   EXPECT_EQ(r.analysis->reachable_violations, 0u);
-  EXPECT_EQ(r.analysis->pin_mode, "windowed");
-  EXPECT_GT(r.run.stats.sa_pinned_blocks, 0u);
-  EXPECT_GT(r.run.stats.sa_pinned_hits, 0u);
+  EXPECT_TRUE(r.analysis->complete);
 }
 
 TEST(SaCampaign, AttackStillDetectedWithAnalyze) {
-  // The pin set must never mask a dynamic violation: attack 3 under the
+  // Analysis must never mask a dynamic violation: attack 3 under the
   // code-injection policy trips fetch-clearance with analysis enabled too.
   campaign::JobSpec job;
   job.name = "atk3";
@@ -427,9 +422,6 @@ TEST(SaService, AnalysisJsonRoundTripIsLossless) {
     EXPECT_EQ(back.findings[i].detail, r.findings[i].detail);
   }
   EXPECT_EQ(back.reachable_violations, r.reachable_violations);
-  EXPECT_EQ(back.pin_mode, r.pin_mode);
-  EXPECT_EQ(back.pinned_pcs, r.pinned_pcs);
-  EXPECT_EQ(back.pin_hash(), r.pin_hash());
   // The summary report over the round-tripped result is bit-identical.
   EXPECT_EQ(sa::to_json(back), sa::to_json(r));
 }
@@ -456,20 +448,28 @@ TEST(SaService, WarmCacheHitsOnSecondAnalysis) {
 }
 
 TEST(SaService, CacheStatsCarryAnalysisCounters) {
-  service::CacheStats a;
-  a.analysis_hits = 3;
-  a.analysis_misses = 1;
-  service::CacheStats b;
-  b.analysis_hits = 2;
-  b += a;
-  EXPECT_EQ(b.analysis_hits, 5u);
-  const service::CacheStats d = b - a;
-  EXPECT_EQ(d.analysis_hits, 2u);
-  EXPECT_EQ(d.analysis_misses, 0u);
+  // Every field of the counter table, each with its own nonzero value, must
+  // survive encode -> decode, += and -; a decoder or operator that drops a
+  // field fails here even if no real run ever sets it.
+  service::CacheStats a, b;
+  std::uint64_t v = 1;
+  for (const auto& f : service::CacheStats::kFields) {
+    a.*f.member = v;
+    b.*f.member = 100 * v;
+    ++v;
+  }
   const service::CacheStats back =
-      service::cache_stats_from_json(campaign::json_parse(b.to_json()));
-  EXPECT_EQ(back.analysis_hits, 5u);
-  EXPECT_EQ(back.analysis_misses, 1u);
+      service::cache_stats_from_json(campaign::json_parse(a.to_json()));
+  service::CacheStats sum = b;
+  sum += a;
+  const service::CacheStats diff = b - a;
+  for (const auto& f : service::CacheStats::kFields) {
+    EXPECT_EQ(back.*f.member, a.*f.member) << f.name;
+    EXPECT_EQ(sum.*f.member, 101 * (a.*f.member)) << f.name;
+    EXPECT_EQ(diff.*f.member, 99 * (a.*f.member)) << f.name;
+  }
+  EXPECT_EQ(back.analysis_hits, a.analysis_hits);
+  EXPECT_EQ(back.analysis_misses, a.analysis_misses);
 }
 
 }  // namespace

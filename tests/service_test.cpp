@@ -37,6 +37,7 @@
 #include "dift/stats.hpp"
 #include "fi/fork.hpp"
 #include "fi/suite.hpp"
+#include "fw/benchmarks.hpp"
 #include "service/cache.hpp"
 #include "service/client.hpp"
 #include "service/executor.hpp"
@@ -246,7 +247,7 @@ TEST(Protocol, JobResultSurvivesTheWire) {
     EXPECT_EQ(orig.attempts, back.attempts);
     EXPECT_EQ(orig.error, back.error);
     expect_same_outcome(orig, back);
-    // The full 13-counter DIFT block, not just the trajectory-pure subset.
+    // The full DIFT counter block, not just the trajectory-pure subset.
     EXPECT_EQ(dift::to_json(orig.run.stats), dift::to_json(back.run.stats));
     EXPECT_EQ(orig.run.violation_pc, back.run.violation_pc);
     EXPECT_EQ(orig.run.violation_where, back.run.violation_where);
@@ -256,6 +257,30 @@ TEST(Protocol, JobResultSurvivesTheWire) {
     EXPECT_EQ(orig.run.recorded_violations.size(),
               back.run.recorded_violations.size());
   }
+}
+
+TEST(Protocol, EveryDiftCounterSurvivesTheWire) {
+  // Table-driven: each counter gets its own nonzero value, so a decoder
+  // that drops (or swaps) a field fails even when no real run sets it.
+  campaign::JobResult orig;
+  orig.name = "counters";
+  dift::DiftStats& s = orig.run.stats;
+  std::uint64_t v = 1;
+  for (const auto& f : dift::DiftStats::kFields) s.*f.member = v++;
+  const campaign::JobResult back = service::job_result_from_json(
+      campaign::json_parse(service::job_result_to_json(orig)));
+  dift::DiftStats big;
+  for (const auto& f : dift::DiftStats::kFields)
+    big.*f.member = 100 * (s.*f.member);
+  dift::DiftStats sum = big;
+  sum += s;
+  const dift::DiftStats diff = big - s;
+  for (const auto& f : dift::DiftStats::kFields) {
+    EXPECT_EQ(back.run.stats.*f.member, s.*f.member) << f.name;
+    EXPECT_EQ(sum.*f.member, 101 * (s.*f.member)) << f.name;
+    EXPECT_EQ(diff.*f.member, 99 * (s.*f.member)) << f.name;
+  }
+  EXPECT_EQ(dift::to_json(back.run.stats), dift::to_json(s));
 }
 
 TEST(Protocol, DecodedGoldenDrivesTheSuiteLikeTheOriginal) {
@@ -663,6 +688,45 @@ TEST(HashTest, Fnv1aIsStableAndFileHashTracksContent) {
   f.rewrite("hello");
   EXPECT_EQ(service::hash_file(f.path()), h1);
   EXPECT_THROW(service::hash_file("/nonexistent/vpdift"), std::runtime_error);
+
+  // Pinned program identities: the warm-translation gate and every cache
+  // key built on program content must not move when the hash code does.
+  EXPECT_EQ(campaign::program_content_key(campaign::resolve_firmware("primes")),
+            0x894d79d75df6183dull);
+  EXPECT_EQ(campaign::program_content_key(fw::make_crc32(256, 4)),
+            0x3440c314405b2e75ull);
+  EXPECT_EQ(
+      service::WarmCache::program_key(campaign::resolve_firmware("attack:3")),
+      0xcdfa3730c336e095ull);
+}
+
+TEST(BuiltinNames, EveryBuiltinResolvesAndKeysAsBuiltin) {
+  // One name table feeds resolve_firmware/resolve_policy and the service's
+  // content keys: every builtin resolves without a file, and the warm cache
+  // keys it by name (a file lookup would throw for these names).
+  service::WarmCache cache;
+  std::vector<std::string> firmwares = campaign::builtin_firmware_names();
+  firmwares.push_back("attack:3");
+  for (const std::string& name : firmwares) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(campaign::is_builtin_firmware(name));
+    EXPECT_NO_THROW(campaign::resolve_firmware(name));
+    EXPECT_EQ(cache.firmware_key(name),
+              service::fnv1a64(name, service::fnv1a64("builtin-fw:")));
+  }
+  std::vector<std::string> policies = campaign::builtin_policy_names();
+  policies.push_back("");
+  const rvasm::Program immo = campaign::resolve_firmware("immobilizer");
+  for (const std::string& name : policies) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(campaign::is_builtin_policy(name));
+    const campaign::ResolvedPolicy p = campaign::resolve_policy(name, immo);
+    EXPECT_EQ(p.policy() != nullptr, !name.empty());
+    EXPECT_EQ(cache.policy_content_key(name),
+              service::fnv1a64(name, service::fnv1a64("builtin-policy:")));
+  }
+  EXPECT_FALSE(campaign::is_builtin_firmware("no-such-firmware.elf"));
+  EXPECT_FALSE(campaign::is_builtin_policy("no-such-policy.txt"));
 }
 
 }  // namespace

@@ -29,10 +29,9 @@
 //                   socket but never answers fails instead of hanging
 //   --analyze       run the static analyzer (CFG + taint reachability,
 //                   docs/analysis.md) over every job's firmware x policy:
-//                   each job result carries the lint report and, in
-//                   dift/monitor modes, the plain-block pin set is
-//                   installed ahead of time. Same as `analyze on` on every
-//                   job. Spec files and suites only (not fi: campaigns)
+//                   each job result carries the lint report; execution
+//                   is unchanged. Same as `analyze on` on every job.
+//                   Spec files and suites only (not fi: campaigns)
 //   --out FILE      JSON campaign report (default: CAMPAIGN_<name>.json,
 //                   or FI_<benchmark>_<n>.json for fi: campaigns).
 //                   "-" streams the report to stdout (progress lines move
