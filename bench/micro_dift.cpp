@@ -220,10 +220,6 @@ void run_iss(benchmark::State& state, bool dift) {
           : 0.0;
   state.counters["variant_promotions"] =
       static_cast<double>(stats.variant_promotions);
-  state.counters["superblock_hits"] =
-      static_cast<double>(stats.superblock_hits);
-  state.counters["superblock_transfers"] =
-      static_cast<double>(stats.superblock_transfers);
 }
 
 void BM_IssPlainVp(benchmark::State& state) { run_iss<vp::Vp>(state, false); }

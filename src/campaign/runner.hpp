@@ -72,7 +72,7 @@ class VpPool {
   /// hash of the firmware about to be loaded (program_content_key; 0 =
   /// unknown): when it matches the previous acquire of the same flavour,
   /// the re-arm keeps the core's translated-block cache warm — the reload
-  /// is byte-identical, so the translations (and superblocks) revalidate —
+  /// is byte-identical, so the translations (and their chains) revalidate —
   /// and the reuse is counted in translation_reuses().
   template <typename VpT>
   VpT& acquire(const vp::VpConfig& cfg, std::uint64_t fw_key = 0);

@@ -70,9 +70,7 @@ std::string counters_to_json(const S& s) {
   X(bus_transactions) /* b_transport calls routed by the bus */                \
   X(plain_variant_hits) /* block dispatches via plain variant */               \
   X(tainted_variant_hits) /* block dispatches via tainted variant */           \
-  X(variant_promotions) /* plain dispatches promoted pre-retire */             \
-  X(superblock_hits) /* dispatches executed a fused trace */                   \
-  X(superblock_transfers) /* block transitions taken inside traces */
+  X(variant_promotions) /* plain dispatches promoted pre-retire */
 
 struct DiftStats {
 #define VPDIFT_DECLARE(field) std::uint64_t field = 0;
@@ -83,6 +81,11 @@ struct DiftStats {
   /// outside arithmetic, JSON and the wire); perfbench/src/serve.cpp still
   /// reads it for its rv.pinned_share layer metric.
   static constexpr std::uint64_t sa_pinned_hits = 0;
+  /// Always 0: the block engine forms no superblock traces. Not fields (so
+  /// outside arithmetic, JSON and the wire); perfbench/src/table2.cpp still
+  /// reads superblock_hits for its rv.superblock_share layer metric.
+  static constexpr std::uint64_t superblock_hits = 0;
+  static constexpr std::uint64_t superblock_transfers = 0;
 
   static constexpr CounterField<DiftStats> kFields[] = {
 #define VPDIFT_ROW(field) {#field, &DiftStats::field},

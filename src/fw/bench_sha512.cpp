@@ -61,10 +61,13 @@ struct Pair {
   Reg lo, hi;
 };
 
-bool disjoint(Pair a, Pair b) {
+// Register-allocation invariants, read only inside assert().
+[[maybe_unused]] bool disjoint(Pair a, Pair b) {
   return a.lo != b.lo && a.lo != b.hi && a.hi != b.lo && a.hi != b.hi;
 }
-bool in_pair(Reg r, Pair p) { return r == p.lo || r == p.hi; }
+[[maybe_unused]] bool in_pair(Reg r, Pair p) {
+  return r == p.lo || r == p.hi;
+}
 
 void load64(Assembler& a, Pair d, Reg base, int off) {
   a.lw(d.lo, base, off);

@@ -687,9 +687,6 @@ void Core<W>::build_into(Block& b, std::uint64_t off) {
   b.chain_off = ~std::uint64_t{0};
   b.fetch_memo = false;
   b.ops.clear();
-  b.trace.reset();
-  b.heat = 0;
-  b.no_trace = false;
   std::uint64_t cur = off;
   // A full 32-bit parcel must be readable even for a 16-bit instruction
   // (mirroring the old fast-path condition); pcs in the last 2 bytes of the
@@ -777,7 +774,7 @@ bool Core<W>::plain_state() {
   // path), so warm/cold caches, snapshot forks and replays all make the
   // same per-dispatch variant decision.
   if constexpr (!kTainted) {
-    return trace_ == nullptr;  // plain core: everything but traced runs
+    return false;  // plain core: no variant split, fn is already tag-free
   } else {
     if (trace_) return false;  // careful path owns trace-attached runs
     if (!shadow_ || !shadow_->all_bottom()) return false;
@@ -967,169 +964,6 @@ std::uint64_t Core<W>::exec_block(Block& b, std::uint64_t budget, bool fresh,
   return done;
 }
 
-// ---------------------------------------------------------------------------
-// Superblock (trace) formation.
-//
-// A hot block whose successors are predictable (static jal targets, chain
-// predictions for jalr/mret, straight fall-through) is fused with them into
-// one straight-line run of micro-ops, turning per-iteration chained_transfers
-// into in-trace fall-through. Traces execute only on the plain path, so no
-// fetch-memo or flow-check state needs trace-scope treatment; the block
-// rules from docs/perf.md extend naturally: every constituent's raw bytes
-// are revalidated on entry, boundary ops are marked `mem` so an interrupt
-// (or SMC/taint break) raised by a fused call is re-tested before the next
-// block's ops run (exact mepc), and `chk`/`expect` verify each predicted
-// successor before falling through into it.
-// ---------------------------------------------------------------------------
-
-template <typename W>
-void Core<W>::build_trace(Block& head) {
-  auto t = std::make_unique<Trace>();
-  bool fusable = true;   // head itself can start a trace
-  bool transient = false;  // stopped on a cold/stale successor: retry later
-  const Block* cur = &head;
-  while (true) {
-    if (t->parts.size() >= kMaxTraceParts ||
-        t->ops.size() + cur->ops.size() > kMaxTraceOps)
-      break;
-    // Fuse only translations that match memory right now; a stale
-    // constituent would fuse dead code.
-    if (!raw_match(dmi_data_ + cur->start_off, cur->raw.data(),
-                   cur->byte_len)) {
-      transient = true;
-      break;
-    }
-    typename Trace::Part part{cur->start_off, cur->byte_len,
-                     static_cast<std::uint32_t>(t->raw.size()),
-                     static_cast<std::uint32_t>(t->ops.size())};
-    t->ops.insert(t->ops.end(), cur->ops.begin(), cur->ops.end());
-    t->raw.insert(t->raw.end(), cur->raw.begin(), cur->raw.end());
-    t->parts.push_back(part);
-
-    // Predict the successor reached when the block runs to completion.
-    const MicroOp& last = cur->ops.back();
-    std::uint64_t next_off;
-    if (CoreOps<W>::entry(last.insn.op).terminator) {
-      if (last.insn.op == Op::kJal) {
-        const std::uint32_t jal_pc = static_cast<std::uint32_t>(
-            dmi_base_ + cur->start_off + cur->byte_len - last.insn.len);
-        const std::uint32_t target =
-            jal_pc + static_cast<std::uint32_t>(last.insn.imm);
-        if ((target & 1) || target < dmi_base_ ||
-            std::uint64_t(target) - dmi_base_ >= dmi_size_) {
-          if (t->parts.size() < 2) fusable = false;
-          break;
-        }
-        next_off = std::uint64_t(target) - dmi_base_;
-      } else if (last.insn.op == Op::kJalr || last.insn.op == Op::kMret) {
-        if (cur->chain_off == ~std::uint64_t{0}) {
-          transient = true;
-          break;
-        }
-        next_off = cur->chain_off;
-      } else {
-        // csr/fence/ecall/ebreak/wfi/illegal: never fuse past these.
-        if (t->parts.size() < 2) fusable = false;
-        break;
-      }
-    } else {
-      // Block ended by kMaxBlockOps or the window edge: fall through.
-      next_off = cur->start_off + cur->byte_len;
-    }
-    // Close at loop edges: re-entering the head (or any part) goes back
-    // through the dispatch loop, which revalidates and re-enters the trace.
-    bool closes = next_off == head.start_off;
-    for (const auto& p : t->parts) closes = closes || next_off == p.off;
-    if (closes) break;
-    const auto slot = static_cast<std::size_t>(next_off >> 1);
-    const Block* next = slot < blocks_.size() ? blocks_[slot].get() : nullptr;
-    if (!next || next->ops.empty()) {
-      transient = true;  // successor not translated yet
-      break;
-    }
-    // Mark the boundary: verify the predicted successor pc, and re-test the
-    // block-exit conditions (pending interrupt, smc/taint break) exactly as
-    // a dispatch-loop re-entry would before running the next block's ops.
-    MicroOp& bop = t->ops.back();
-    bop.chk = true;
-    bop.expect = static_cast<std::uint32_t>(dmi_base_ + next_off);
-    bop.mem = true;
-    cur = next;
-  }
-  if (t->parts.size() >= 2) {
-    std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-    for (const auto& p : t->parts) {
-      lo = std::min(lo, p.off);
-      hi = std::max(hi, p.off + p.len);
-    }
-    t->lo = lo;
-    t->hi = hi;
-    head.trace = std::move(t);
-  } else if (!transient && !fusable) {
-    head.no_trace = true;  // shape can never fuse until the block rebuilds
-  }
-}
-
-template <typename W>
-bool Core<W>::trace_valid(const Trace& t) const {
-  for (const auto& p : t.parts)
-    if (!raw_match(dmi_data_ + p.off, t.raw.data() + p.raw_off, p.len))
-      return false;
-  return true;
-}
-
-template <typename W>
-std::uint64_t Core<W>::exec_trace(Trace& t, std::uint64_t budget) {
-  const auto n =
-      static_cast<std::size_t>(std::min<std::uint64_t>(t.ops.size(), budget));
-  // The store-into-executing-code test covers the hull of all parts; a
-  // store into a gap between parts breaks out spuriously, which is safe
-  // (the dispatch loop revalidates and resumes).
-  cur_block_lo_ = t.lo;
-  cur_block_hi_ = t.hi;
-  smc_break_ = false;
-  taint_break_ = false;
-  const MicroOp* ops = t.ops.data();
-  std::uint64_t done = 0;
-  try {
-    while (done < n) {
-      const MicroOp& op = ops[done];
-      const std::uint32_t seq = pc_ + op.insn.len;
-      next_pc_ = seq;
-      trapped_ = false;
-      op.fast(*this, op.insn);
-      pc_ = next_pc_;
-      ++instret_;
-      ++done;
-      if (trapped_) break;
-      if (op.chk && pc_ != op.expect) break;  // prediction miss: leave trace
-      if (op.cf && pc_ != seq) break;         // taken branch left the trace
-      if (op.mem &&
-          ((csrs_.mip & csrs_.mie) != 0 || smc_break_ || taint_break_))
-        break;
-    }
-    stats_.decode_hits += done;  // trace ops always come from cached blocks
-    if constexpr (kTainted) {
-      if (exec_.fetch) stats_.fetch_summary_hits += done;
-    }
-  } catch (...) {
-    stats_.decode_hits += done + 1;
-    if constexpr (kTainted) {
-      if (exec_.fetch) stats_.fetch_summary_hits += done + 1;
-    }
-    cur_block_lo_ = cur_block_hi_ = 0;
-    throw;
-  }
-  cur_block_lo_ = cur_block_hi_ = 0;
-  // Count block transitions taken inside the trace (parts entered beyond
-  // the head) — these are the dispatch-loop transfers the fusion elided.
-  std::uint64_t transfers = 0;
-  for (std::size_t k = 1; k < t.parts.size() && t.parts[k].first_op < done; ++k)
-    ++transfers;
-  stats_.superblock_transfers += transfers;
-  return done;
-}
-
 template <typename W>
 void Core<W>::step_slow() {
   // Slow path (XIP flash etc.): read one parcel over the bus, extend to 32
@@ -1231,41 +1065,8 @@ RunExit Core<W>::run(std::uint64_t max_instructions) {
         if (fault_armed_ && fault_at_ - instret_ < budget)
           budget = fault_at_ - instret_;
         // Taint-liveness gate: while no taint is live anywhere and every
-        // clearance admits ⊥, dispatch the zero-tag-work plain variant and
-        // form/execute superblocks. The plain core takes the trace path
-        // whenever no trace buffer is attached.
+        // clearance admits ⊥, dispatch the zero-tag-work plain variant.
         const bool plain = plain_state();
-        if (plain) {
-          Trace* t = b->trace.get();
-          if (t && !trace_valid(*t)) {
-            // SMC hit a constituent: drop the trace and re-heat. The
-            // constituent's own slot revalidates (and rebuilds) on its
-            // next direct dispatch as usual.
-            b->trace.reset();
-            b->heat = 0;
-            t = nullptr;
-          }
-          if (!t && !fresh && !b->no_trace && ++b->heat >= kTraceHeat) {
-            build_trace(*b);
-            b->heat = 0;
-            t = b->trace.get();
-          }
-          if (t) {
-            ++stats_.superblock_hits;
-            const std::uint64_t done = exec_trace(*t, budget);
-            executed += done;
-            if constexpr (kTainted) {
-              if (taint_break_) {
-                ++stats_.variant_promotions;
-                taint_break_ = false;
-              }
-            }
-            // A trace exit pc does not correspond to a completed head
-            // block, so no chain is installed from it.
-            prev = nullptr;
-            continue;
-          }
-        }
         const std::uint64_t done = exec_block(*b, budget, fresh, plain);
         executed += done;
         if constexpr (kTainted) {

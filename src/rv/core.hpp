@@ -152,12 +152,12 @@ class Core {
   /// Architectural reset: clears registers, CSRs, pending interrupts, the
   /// WFI state, the block cache, and the retirement counter; pc moves to
   /// `reset_pc`. Wiring (bus, DMI, policy, trace) is preserved.
-  /// `keep_translations` keeps the translated blocks (and their chains and
-  /// superblocks) warm — sound only when the DMI code bytes are reloaded
-  /// with identical content (campaign re-arm with an unchanged firmware
-  /// hash): translations are content-keyed and revalidate against the raw
-  /// bytes anyway, but the per-block fetch memos bind to a policy's flow
-  /// table and are wiped to avoid pointer-reuse ABA across policies.
+  /// `keep_translations` keeps the translated blocks (and their chains) warm
+  /// — sound only when the DMI code bytes are reloaded with identical
+  /// content (campaign re-arm with an unchanged firmware hash): translations
+  /// are content-keyed and revalidate against the raw bytes anyway, but the
+  /// per-block fetch memos bind to a policy's flow table and are wiped to
+  /// avoid pointer-reuse ABA across policies.
   void reset(std::uint32_t reset_pc, bool keep_translations = false);
 
   /// Checkpoint support: restores the retirement counter and WFI state
@@ -199,39 +199,13 @@ class Core {
   /// semantics, `fast` the taint-liveness-specialized plain variant that
   /// skips all tag work — valid only while plain_state() holds (shadow plane
   /// uniformly ⊥, register tags ⊥, every clearance admits ⊥). Terminators
-  /// and the plain instantiation alias fast == fn. `chk`/`expect` are used
-  /// only by trace (superblock) copies of an op: after a part-boundary op
-  /// retires, the dispatch loop verifies pc_ == expect before falling
-  /// through into the next fused block.
+  /// and the plain instantiation alias fast == fn.
   struct MicroOp {
     Insn insn;
     ExecFn fn;
     ExecFn fast;
     bool mem;  ///< load/store: may raise an IRQ or modify code mid-block
     bool cf;   ///< conditional branch: exits the block only when taken
-    bool chk = false;          ///< trace boundary: verify successor pc
-    std::uint32_t expect = 0;  ///< predicted successor pc (chk only)
-  };
-
-  /// A superblock: several chained blocks fused into one straight-line run
-  /// of micro-ops (see docs/perf.md). Owned by its head Block and executed
-  /// only on the plain path (Core<PlainWord>, or Core<TaintedWord> while
-  /// plain_state() holds), so no flow-check or memo state is fused. Every
-  /// constituent's raw bytes are revalidated on entry; `lo`/`hi` span the
-  /// hull of all parts so stores into any constituent (or a gap) raise
-  /// smc_break_ mid-trace.
-  struct Trace {
-    struct Part {
-      std::uint64_t off;       ///< DMI offset of the constituent block head
-      std::uint32_t len;       ///< its byte length
-      std::uint32_t raw_off;   ///< offset of its snapshot inside `raw`
-      std::uint32_t first_op;  ///< index of its first micro-op in `ops`
-    };
-    std::vector<MicroOp> ops;
-    std::vector<Part> parts;
-    std::vector<std::uint8_t> raw;
-    std::uint64_t lo = 0;  ///< hull of constituent spans (DMI offsets)
-    std::uint64_t hi = 0;
   };
 
   /// One translated basic block: a run of micro-ops ending at the first
@@ -257,22 +231,11 @@ class Core {
     bool fetch_memo = false;
     std::vector<MicroOp> ops;
     std::vector<std::uint8_t> raw;
-    // Superblock state: after kTraceHeat plain dispatches, chained
-    // successors are fused into `trace`. `no_trace` latches heads that can
-    // never fuse (terminator kind, self-loop) until the block is rebuilt.
-    std::unique_ptr<Trace> trace;
-    std::uint32_t heat = 0;
-    bool no_trace = false;
   };
 
   /// Upper bound on micro-ops per block (straight-line runs longer than this
   /// split into consecutive blocks).
   static constexpr std::size_t kMaxBlockOps = 64;
-  /// Plain dispatches of a block before superblock formation is attempted.
-  static constexpr std::uint32_t kTraceHeat = 16;
-  /// Upper bounds on fused blocks / micro-ops per superblock.
-  static constexpr std::size_t kMaxTraceParts = 8;
-  static constexpr std::size_t kMaxTraceOps = 256;
 
   void execute(const Insn& d);
   void transport_with_pc(tlmlite::Payload& p, sysc::Time& delay);
@@ -289,13 +252,10 @@ class Core {
                            bool plain);
   void step_slow();
 
-  // Taint-liveness gate + superblock engine (see docs/perf.md).
+  // Taint-liveness gate (see docs/perf.md).
   bool plain_state();
   bool plain_clearances_ok();
   void wipe_fetch_memos();
-  void build_trace(Block& head);
-  bool trace_valid(const Trace& t) const;
-  std::uint64_t exec_trace(Trace& t, std::uint64_t budget);
 
   dift::Tag combine(dift::Tag a, dift::Tag b) { return Ops::combine(a, b); }
   std::uint32_t rv(std::uint8_t r) const { return Ops::value(regs_[r]); }

@@ -132,7 +132,7 @@ void VirtualPrototype<W>::reset(bool keep_translations) {
   // trap), pending fault trigger disarmed, policy detached, translation
   // cache dropped (the next image has different bytes) — unless the caller
   // promised byte-identical firmware, in which case the translations (and
-  // superblocks) stay warm and only the policy-bound fetch memos are wiped.
+  // their chains) stay warm and only the policy-bound fetch memos are wiped.
   core_.reset(am::kRamBase, keep_translations);
   core_.disarm_fault();
   core_.set_policy(nullptr);

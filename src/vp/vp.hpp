@@ -219,7 +219,7 @@ class VirtualPrototype {
   /// configs are config_equivalent(). Only valid on a VP that owns its
   /// simulation (throws std::logic_error for shared-kernel multi-ECU VPs).
   /// `keep_translations` keeps the core's translated-block cache (and its
-  /// superblocks) warm across the re-arm — sound only when the subsequently
+  /// chains) warm across the re-arm — sound only when the subsequently
   /// loaded firmware is byte-identical (the pool gates this on the firmware
   /// content hash); translations revalidate against the raw bytes on every
   /// dispatch regardless.

@@ -388,13 +388,13 @@ TEST(BlockEngine, MidBlockTaintedLoadPromotesBeforeNextOp) {
 }
 
 // ---------------------------------------------------------------------------
-// Superblock (trace) formation across chained transfers.
+// Chained dispatch across a hot call loop.
 // ---------------------------------------------------------------------------
 
-// A hot call loop (head -> callee -> loop body -> back to head) must fuse
-// into a superblock whose execution is bit-identical to the careful
+// A hot call loop (head -> callee -> loop body -> back to head) rides the
+// terminator chain, and its execution is bit-identical to the careful
 // per-instruction path.
-TEST(BlockEngine, SuperblockFormsAcrossCallLoopAndMatchesCarefulPath) {
+TEST(BlockEngine, CallLoopChainsAndMatchesCarefulPath) {
   const auto emit = [](rvasm::Assembler& a) {
     a.li(s0, 0);
     a.li(t2, 60);
@@ -412,7 +412,7 @@ TEST(BlockEngine, SuperblockFormsAcrossCallLoopAndMatchesCarefulPath) {
   };
   constexpr std::uint64_t kSteps = 400;
 
-  Vm fast_vm;           // no trace buffer: superblocks engage
+  Vm fast_vm;           // no trace buffer: fast block path
   Vm careful_vm;        // trace buffer attached: per-instruction path
   rv::TraceBuffer careful_trace(16);
   careful_vm.core.set_trace(&careful_trace);
@@ -430,16 +430,15 @@ TEST(BlockEngine, SuperblockFormsAcrossCallLoopAndMatchesCarefulPath) {
         << "x" << r;
   EXPECT_EQ(fast_vm.reg(a0), 180u);
   EXPECT_EQ(fast_vm.reg(s0), 60u);
-  const auto& s = fast_vm.core.stats();
-  EXPECT_GT(s.superblock_hits, 0u);
-  EXPECT_GT(s.superblock_transfers, 0u);
-  EXPECT_EQ(careful_vm.core.stats().superblock_hits, 0u);
+  EXPECT_EQ(fast_vm.core.pc(), careful_vm.core.pc());
+  EXPECT_EQ(fast_vm.core.instret(), careful_vm.core.instret());
+  EXPECT_GT(fast_vm.core.stats().chained_transfers, 0u);
 }
 
-// A guest store into a *constituent* of a formed superblock (not the head)
-// must drop the trace and re-decode: every later call runs the patched
-// bytes.
-TEST(BlockEngine, SmcStoreIntoSuperblockConstituentRevalidates) {
+// A guest store into a callee block that is entered through the caller's
+// chain (not a cache lookup) must be caught by the chained entry's raw-byte
+// revalidation: every later call runs the patched bytes.
+TEST(BlockEngine, SmcStoreIntoChainedCalleeRevalidates) {
   Vm vm;
   run_asm(vm, [](auto& a) {
     a.li(s0, 0);
@@ -468,14 +467,14 @@ TEST(BlockEngine, SmcStoreIntoSuperblockConstituentRevalidates) {
   // Calls 1..40 accumulate 3 each; calls 41..80 run the patched body.
   EXPECT_EQ(vm.reg(a0), 99u);
   const auto& s = vm.core.stats();
-  EXPECT_GT(s.superblock_hits, 0u);
+  EXPECT_GT(s.chained_transfers, 0u);
   EXPECT_GE(s.block_invalidations, 1u);
 }
 
-// An interrupt raised by a store inside a NON-head part of a running
-// superblock must be taken at the next instruction boundary with an exact
-// mepc, without retiring the rest of the trace.
-TEST(BlockEngine, MidSuperblockInterruptTakenWithExactMepc) {
+// An interrupt raised by a store inside a callee block entered through the
+// chain must be taken at the next instruction boundary with an exact mepc,
+// without retiring the rest of the callee.
+TEST(BlockEngine, InterruptInChainedCalleeTakenWithExactMepc) {
   IrqVm vm;
   rvasm::Assembler a(IrqVm::kBase);
   a.la(t0, "handler");
@@ -486,7 +485,7 @@ TEST(BlockEngine, MidSuperblockInterruptTakenWithExactMepc) {
   a.li(s2, static_cast<std::int64_t>(soc::addrmap::kClintBase));  // msip
   a.li(s3, static_cast<std::int64_t>(IrqVm::kBase + 0x8000));     // dummy
   a.sub(s5, s2, s3);
-  a.li(s4, 30);  // fire on the 31st call — well after the trace forms
+  a.li(s4, 30);  // fire on the 31st call — well after the chain forms
   a.li(s0, 0);
   a.li(t6, 1);
   a.label("top");
@@ -495,7 +494,7 @@ TEST(BlockEngine, MidSuperblockInterruptTakenWithExactMepc) {
   a.j("top");
   a.label("fn");
   // Branchless target select: iterations 0..29 store to the dummy word,
-  // iteration 30 stores to CLINT msip — raising the IRQ mid-part-2.
+  // iteration 30 stores to CLINT msip — raising the IRQ mid-callee.
   a.xor_(t4, s0, s4);
   a.sltiu(t4, t4, 1);
   a.sub(t5, zero, t4);
@@ -518,9 +517,9 @@ TEST(BlockEngine, MidSuperblockInterruptTakenWithExactMepc) {
   EXPECT_EQ(vm.core.reg(13), 30u);  // a3: one per completed call, none after
   EXPECT_EQ(vm.core.reg(22), static_cast<std::uint32_t>(p.symbol("after_store")));
   EXPECT_EQ(vm.core.reg(23), 0x80000003u);  // machine software interrupt
-  // The IRQ iteration ran inside a formed superblock, not a lone block.
-  EXPECT_GT(vm.core.stats().superblock_hits, 10u);
-  EXPECT_GT(vm.core.stats().superblock_transfers, 0u);
+  // The loop rode the chain (three transfers per call iteration), so the
+  // IRQ iteration's callee was a chained entry, not a cache lookup.
+  EXPECT_GT(vm.core.stats().chained_transfers, 60u);
 }
 
 // reset(pc, keep_translations=true) must keep the translated blocks (the

@@ -109,10 +109,13 @@ void expect_equivalent(const fi::FiSuite& suite,
     EXPECT_EQ(c.run.stats.dma_summary_hits, f.run.stats.dma_summary_hits);
     // Promotion events are trajectory-pure (one per plain->tainted taint
     // introduction, at a fixed instruction), so replay and fork must agree.
-    // The per-dispatch variant-hit counters are exempt along with the
-    // superblock counters: a forked tail rebuilds the block cache from
-    // cold, so its dispatch mix (blocks vs superblocks) legitimately
-    // differs even though the executed instructions are identical.
+    // The per-dispatch variant-hit counters are exempt: the golden cursor
+    // arms every architectural site of its chunk, and each armed fault
+    // clamps the running block at its trigger. A forked job's golden prefix
+    // therefore counts one extra block split per other site the cursor
+    // passed before the snapshot, which its cold replay never had. The
+    // instruction stream is identical; only its grouping into dispatches
+    // differs (a one-fault suite forks to the exact cold dispatch counts).
     EXPECT_EQ(c.run.stats.variant_promotions, f.run.stats.variant_promotions);
   }
   std::vector<fi::Verdict> vc, vf;

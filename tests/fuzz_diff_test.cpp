@@ -277,9 +277,10 @@ TEST(RegisterWidthFuzz, OversizedDmaAndUartAccessesClamp) {
       for (std::uint32_t i = 4; i < n; ++i)
         ASSERT_EQ(buf[i], 0u) << "tail byte " << i << " of read @" << std::hex
                               << addr << " not clamped to zero";
-      if (p.tainted())
+      if (p.tainted()) {
         for (std::uint32_t i = 0; i < n; ++i)
           ASSERT_EQ(tags[i], dift::kBottomTag);
+      }
     }
   }
 }

@@ -52,8 +52,8 @@ using namespace vpdift;
 /// Architectural observables + trajectory-pure DIFT counters must match.
 /// Cache-locality counters (decode/block hits, invalidations) are exempt:
 /// a pooled VP legitimately starts a job with different cache temperature.
-void expect_same_outcome(const campaign::JobResult& a,
-                         const campaign::JobResult& b) {
+void expect_same_trajectory(const campaign::JobResult& a,
+                            const campaign::JobResult& b) {
   EXPECT_EQ(a.verdict, b.verdict);
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(static_cast<int>(a.run.reason), static_cast<int>(b.run.reason));
@@ -69,12 +69,22 @@ void expect_same_outcome(const campaign::JobResult& a,
   EXPECT_EQ(a.run.stats.mem_summary_hits, b.run.stats.mem_summary_hits);
   EXPECT_EQ(a.run.stats.dma_summary_hits, b.run.stats.dma_summary_hits);
   // Promotion events are trajectory-pure (one per plain->tainted taint
-  // introduction at a fixed instruction) and must match. The per-dispatch
-  // variant-hit and superblock counters are exempt: this helper also
-  // compares forked tails against cold replays, and a different cache
-  // temperature legitimately changes how the same instruction stream is
-  // grouped into block/trace dispatches.
+  // introduction at a fixed instruction) and must match.
   EXPECT_EQ(a.run.stats.variant_promotions, b.run.stats.variant_promotions);
+}
+
+/// expect_same_trajectory plus the per-dispatch variant hits. Block shapes
+/// depend only on start pc and code bytes, and the variant gate only on
+/// architectural state, so a warm VP or a warm snapshot cache cannot
+/// regroup the instruction stream into different dispatches. Forked tails
+/// whose golden cursors visited different fault sites can (each armed site
+/// splits the block running at its trigger), so those compare with
+/// expect_same_trajectory.
+void expect_same_outcome(const campaign::JobResult& a,
+                         const campaign::JobResult& b) {
+  expect_same_trajectory(a, b);
+  EXPECT_EQ(a.run.stats.plain_variant_hits, b.run.stats.plain_variant_hits);
+  EXPECT_EQ(a.run.stats.tainted_variant_hits, b.run.stats.tainted_variant_hits);
 }
 
 campaign::JobSpec attack_job() {
@@ -359,7 +369,9 @@ TEST(ForkSubset, PartialIndicesFillOnlyTheirSlots) {
   const std::vector<campaign::JobResult> half =
       fi::run_forked_subset(suite, {1, 3, 5});
   ASSERT_EQ(half.size(), suite.faults.size());
-  for (std::size_t i : {1u, 3u, 5u}) expect_same_outcome(reference[i], half[i]);
+  // The half-suite cursor arms fewer sites than the reference one.
+  for (std::size_t i : {1u, 3u, 5u})
+    expect_same_trajectory(reference[i], half[i]);
   for (std::size_t i : {0u, 2u, 4u}) EXPECT_TRUE(half[i].name.empty()) << i;
 
   EXPECT_THROW(fi::run_forked_subset(suite, {suite.faults.size()}),

@@ -222,8 +222,8 @@ TEST(DiftStats, PlainVpKeepsTagCountersZero) {
   EXPECT_EQ(r.stats.plain_variant_hits, 0u);
   EXPECT_EQ(r.stats.tainted_variant_hits, 0u);
   EXPECT_EQ(r.stats.variant_promotions, 0u);
-  // ... but it does form superblocks over its hot loops.
-  EXPECT_GT(r.stats.superblock_hits, 0u);
+  // ... but its hot loops do ride the block chain.
+  EXPECT_GT(r.stats.chained_transfers, 0u);
   EXPECT_GT(r.stats.bus_transactions, 0u);
   EXPECT_GT(r.stats.decode_hits, 0u);
 }
