@@ -40,7 +40,6 @@
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/suites.hpp"
-#include "campaign/thread_pool.hpp"
 #include "dift/stats.hpp"
 
 using namespace vpdift;
@@ -84,7 +83,7 @@ std::string json_doubles(const std::vector<double>& v) {
 int main(int argc, char** argv) {
   std::uint32_t scale = 4;
   std::string json_path = "BENCH_table2.json";
-  std::size_t jobs = campaign::ThreadPool::jobs_from_env(1);
+  std::size_t jobs = campaign::jobs_from_env(1);
   std::uint32_t reps = 3;
   double max_overhead = 0.0;  // 0 = no gate
   double max_geomean = 0.0;   // 0 = no gate

@@ -62,6 +62,6 @@ class Aggregator {
 };
 
 /// Escapes a string for embedding in a JSON document.
-std::string json_escape(const std::string& s);
+using dift::json_escape;
 
 }  // namespace vpdift::campaign

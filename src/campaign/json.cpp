@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 
 namespace vpdift::campaign {
@@ -181,29 +180,5 @@ class JsonParser {
 }  // namespace
 
 JsonValue json_parse(std::string_view text) { return JsonParser(text).parse(); }
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 }  // namespace vpdift::campaign

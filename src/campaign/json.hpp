@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "dift/stats.hpp"
+
 namespace vpdift::campaign {
 
 /// Malformed JSON. `line()` is 1-based; `message()` is the bare description
@@ -71,9 +73,10 @@ struct JsonValue {
 /// Throws JsonError on malformed input.
 JsonValue json_parse(std::string_view text);
 
-/// Escapes a string for embedding in a JSON document (shared with the
-/// aggregator's report writer).
-std::string json_quote(const std::string& s);
+/// `s` as a quoted JSON string literal.
+inline std::string json_quote(const std::string& s) {
+  return '"' + dift::json_escape(s) + '"';
+}
 
 /// Decodes a flat counter block (a struct with a `kFields` table, see
 /// dift::CounterField) from the object its renderer wrote; absent or

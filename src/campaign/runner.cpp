@@ -1,6 +1,9 @@
 #include "campaign/runner.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <mutex>
 #include <optional>
@@ -9,7 +12,6 @@
 #include <type_traits>
 
 #include "campaign/hash.hpp"
-#include "campaign/thread_pool.hpp"
 #include "dift/policy_parser.hpp"
 #include "fw/attacks.hpp"
 #include "fw/benchmarks.hpp"
@@ -160,6 +162,29 @@ std::string verdict_of(const vp::RunResult& run) {
   return "?";
 }
 
+rvasm::Program job_program(const JobSpec& job, const RunnerEnv* env) {
+  if (job.make_program) return job.make_program();
+  if (env && env->resolve_firmware) return env->resolve_firmware(job.firmware);
+  return resolve_firmware(job.firmware);
+}
+
+vp::VpConfig job_config(const JobSpec& job) {
+  if (job.make_config) return job.make_config();
+  vp::VpConfig cfg;
+  if (job.engine_ecu) {
+    cfg.with_engine_ecu = true;
+    cfg.engine_pin = kDemoPin;
+    cfg.engine_period = sysc::Time::ms(1);
+  }
+  return cfg;
+}
+
+std::string job_uart_input(const JobSpec& job) {
+  return !job.uart_input.empty() || job.make_program
+             ? job.uart_input
+             : default_uart_input(job.firmware);
+}
+
 namespace {
 
 /// Watches the host clock from inside the simulation: between CPU quanta it
@@ -199,23 +224,9 @@ JobResult execute_once(const JobSpec& job, const RunnerEnv* env) {
   JobResult res;
   res.name = job.name;
 
-  const rvasm::Program program =
-      job.make_program                   ? job.make_program()
-      : env && env->resolve_firmware     ? env->resolve_firmware(job.firmware)
-                                         : resolve_firmware(job.firmware);
-  const std::string uart_input =
-      !job.uart_input.empty() || job.make_program
-          ? job.uart_input
-          : default_uart_input(job.firmware);
-
-  vp::VpConfig cfg;
-  if (job.make_config) {
-    cfg = job.make_config();
-  } else if (job.engine_ecu) {
-    cfg.with_engine_ecu = true;
-    cfg.engine_pin = kDemoPin;
-    cfg.engine_period = sysc::Time::ms(1);
-  }
+  const rvasm::Program program = job_program(job, env);
+  const std::string uart_input = job_uart_input(job);
+  const vp::VpConfig cfg = job_config(job);
 
   bool wall_fired = false;  // outlives the VP (the guard coroutine reads it)
   // Warm path: a pooled VP is reset + re-armed; cold path builds one here.
@@ -438,42 +449,61 @@ JobResult Runner::run_job(const JobSpec& job, const RunnerEnv* env) {
 
 std::vector<JobResult> Runner::run(const CampaignSpec& spec) {
   std::vector<JobResult> results(spec.jobs.size());
-  const auto cancelled = [this] {
-    return opts_.cancel && opts_.cancel->load(std::memory_order_relaxed);
-  };
-  const auto skip = [&](std::size_t i) {
-    results[i].name = spec.jobs[i].name;
-    results[i].verdict = "skipped";
-  };
-  if (opts_.jobs <= 1) {
-    // Serial reference path: same thread, same order as the spec.
-    // Environments (warm pools, cached resolvers) hold single-threaded
-    // state, so this is the only path that honours opts_.env.
-    for (std::size_t i = 0; i < spec.jobs.size(); ++i) {
-      if (cancelled()) {
-        skip(i);
-        continue;
-      }
-      results[i] = run_job(spec.jobs[i], opts_.env);
-      if (opts_.on_done) opts_.on_done(results[i]);
-    }
-    return results;
-  }
-
+  // Environments (warm pools, cached resolvers) hold single-threaded state,
+  // so only the serial path (jobs <= 1, inline in spec order) honours them.
+  const RunnerEnv* env = opts_.jobs <= 1 ? opts_.env : nullptr;
   std::mutex done_m;
-  ThreadPool pool(opts_.jobs);
-  pool.parallel_for(spec.jobs.size(), [&](std::size_t i) {
-    if (cancelled()) {
-      skip(i);
+  parallel_for(spec.jobs.size(), opts_.jobs, [&](std::size_t i) {
+    if (opts_.cancel && opts_.cancel->load(std::memory_order_relaxed)) {
+      results[i].name = spec.jobs[i].name;
+      results[i].verdict = "skipped";
       return;
     }
-    results[i] = run_job(spec.jobs[i]);
+    results[i] = run_job(spec.jobs[i], env);
     if (opts_.on_done) {
       std::lock_guard lk(done_m);
       opts_.on_done(results[i]);
     }
   });
   return results;
+}
+
+void parallel_for(std::size_t n, std::size_t workers,
+                  const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> next{0};
+  std::mutex err_m;
+  std::exception_ptr first;
+  const auto drain = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard lk(err_m);
+        if (!first) first = std::current_exception();
+      }
+    }
+  };
+  if (workers <= 1) {
+    drain();
+  } else {
+    const std::size_t count = std::min(workers, n);
+    std::vector<std::jthread> threads;  // joined on scope exit
+    threads.reserve(count);
+    for (std::size_t t = 0; t < count; ++t) threads.emplace_back(drain);
+  }
+  if (first) std::rethrow_exception(first);
+}
+
+std::size_t jobs_from_env(std::size_t fallback) {
+  if (const char* env = std::getenv("VPDIFT_JOBS")) {
+    char* end = nullptr;
+    const unsigned long v = std::strtoul(env, &end, 10);
+    if (end && *end == '\0' && v >= 1 && v <= 1024)
+      return static_cast<std::size_t>(v);
+  }
+  if (fallback) return fallback;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw ? hw : 1;
 }
 
 }  // namespace vpdift::campaign

@@ -5,9 +5,10 @@
 // the outcome into a JobResult. Nothing is shared between jobs — the
 // thread_local active-context refactor (dift/context.hpp, sysc/kernel.hpp)
 // makes a VP thread-confined, and the runner never lets two threads touch
-// the same VP. With jobs == 1 the runner degrades to a plain serial loop on
-// the calling thread, which is the bit-identical reference the parallel
-// paths are tested against.
+// the same VP. Both the runner and the fork engine fan out through
+// parallel_for; with one worker it is a plain serial loop on the calling
+// thread, which is the bit-identical reference the parallel paths are
+// tested against.
 #pragma once
 
 #include <atomic>
@@ -27,6 +28,19 @@
 #include "vp/vp.hpp"
 
 namespace vpdift::campaign {
+
+/// Runs fn(0) .. fn(n-1), each index exactly once. With workers <= 1 the
+/// calls run inline on the calling thread in index order (the serial
+/// reference path). Otherwise min(workers, n) threads claim indices from a
+/// shared counter until none are left, and the caller only waits. Tasks must
+/// be independent. If tasks throw, the first exception is rethrown after
+/// every task has finished.
+void parallel_for(std::size_t n, std::size_t workers,
+                  const std::function<void(std::size_t)>& fn);
+
+/// Worker count from the VPDIFT_JOBS environment knob; falls back to
+/// `fallback` (or hardware_concurrency when 0). Always >= 1.
+std::size_t jobs_from_env(std::size_t fallback = 0);
 
 /// One retry attempt's outcome, kept so the aggregate report can show what
 /// the retries actually absorbed (a job that crashed twice and then passed
@@ -221,6 +235,20 @@ ResolvedPolicy resolve_policy(const std::string& name,
 /// Canonical attacker byte stream for the attack firmwares ("" otherwise) —
 /// what a job without an explicit uart-input receives.
 std::string default_uart_input(const std::string& firmware);
+
+// How a job's VP is set up. Runner::run_job and the fork engine
+// (fi/fork.cpp) both build their VPs from these, so a forked fault job
+// starts from exactly the state its cold replay would.
+
+/// The job's program: make_program, else `env`'s firmware resolver, else
+/// resolve_firmware.
+rvasm::Program job_program(const JobSpec& job, const RunnerEnv* env = nullptr);
+/// The job's VP configuration: make_config, else the default config plus
+/// the engine ECU (demo_pin(), 1 ms period) when engine_ecu is set.
+vp::VpConfig job_config(const JobSpec& job);
+/// The bytes fed into the UART before the run: uart_input, else the
+/// firmware's default_uart_input (unless make_program overrides the image).
+std::string job_uart_input(const JobSpec& job);
 
 /// Maps a finished run to its campaign verdict string
 /// (exit:N | violation:<kind> | timeout | wall-timeout | watchdog-reset | trap).

@@ -39,6 +39,34 @@ S sub_counters(S a, const S& b) {
   return a;
 }
 
+/// Escapes `s` for embedding in a JSON string literal (without the quotes):
+/// quote, backslash, newline, CR and tab get their short escapes, every
+/// other control byte a \u00XX escape. The one escaper behind every JSON
+/// writer in the tree (campaign reports, the service protocol, lint reports).
+inline std::string json_escape(const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += kHex[c >> 4];
+          out += kHex[c & 0xf];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 /// One flat JSON object, keys in S::kFields order.
 template <typename S>
 std::string counters_to_json(const S& s) {

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "campaign/thread_pool.hpp"
 #include "fi/injector.hpp"
 
 namespace vpdift::fi {
@@ -32,17 +31,18 @@ struct JobTemplate {
   std::uint32_t wdt_us = 0;
 };
 
+/// Built from the suite's own first fault job (or its golden job when the
+/// suite has no faults) through the same job setup Runner::run_job uses.
 JobTemplate make_template(const FiSuite& suite) {
+  const campaign::JobSpec job = suite.jobs.jobs.empty()
+                                    ? golden_job(suite.spec)
+                                    : suite.jobs.jobs.front();
   JobTemplate t;
-  t.program = campaign::resolve_firmware(suite.spec.benchmark);
-  t.uart_input = campaign::default_uart_input(suite.spec.benchmark);
-  if (suite.spec.benchmark == "immobilizer") {
-    t.cfg.with_engine_ecu = true;
-    t.cfg.engine_pin = campaign::demo_pin();
-    t.cfg.engine_period = sysc::Time::ms(1);
-  }
-  t.policy = campaign::resolve_policy("code-injection", t.program);
-  t.max_ms = suite.jobs.jobs.empty() ? 10000 : suite.jobs.jobs.front().max_ms;
+  t.program = campaign::job_program(job);
+  t.uart_input = campaign::job_uart_input(job);
+  t.cfg = campaign::job_config(job);
+  t.policy = campaign::resolve_policy(job.policy, t.program);
+  t.max_ms = job.max_ms;
   t.wdt_us = suite.wdt_us;
   return t;
 }
@@ -351,13 +351,7 @@ std::vector<campaign::JobResult> run_forked(
   for (std::size_t i = 0; i < n; ++i) chunks[i * workers / n].push_back(i);
 
   std::mutex done_m, stats_m;
-  if (workers <= 1) {
-    run_chunk(suite, chunks[0], results, on_done, done_m, stats, stats_m,
-              cancel);
-    return results;
-  }
-  campaign::ThreadPool pool(workers);
-  pool.parallel_for(workers, [&](std::size_t c) {
+  campaign::parallel_for(workers, workers, [&](std::size_t c) {
     run_chunk(suite, chunks[c], results, on_done, done_m, stats, stats_m,
               cancel);
   });

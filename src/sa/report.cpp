@@ -2,33 +2,12 @@
 #include <cstdio>
 #include <sstream>
 
+#include "dift/stats.hpp"
 #include "sa/analyze.hpp"
 
 namespace vpdift::sa {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string hex(std::uint64_t v) {
   char buf[24];
@@ -62,11 +41,11 @@ std::string to_json(const AnalysisResult& r) {
   for (const auto& f : r.findings) {
     if (!first) os << ",";
     first = false;
-    os << "{\"kind\":\"" << json_escape(f.kind) << "\""
-       << ",\"where\":\"" << json_escape(f.where) << "\""
+    os << "{\"kind\":\"" << dift::json_escape(f.kind) << "\""
+       << ",\"where\":\"" << dift::json_escape(f.where) << "\""
        << ",\"pc\":\"" << hex(f.pc) << "\""
        << ",\"reachable\":" << (f.reachable ? "true" : "false")
-       << ",\"detail\":\"" << json_escape(f.detail) << "\"}";
+       << ",\"detail\":\"" << dift::json_escape(f.detail) << "\"}";
   }
   os << "]}";
   return os.str();

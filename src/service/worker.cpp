@@ -133,9 +133,11 @@ int worker_main(int fd, const WorkerConfig& cfg) {
         const std::vector<campaign::JobResult> results =
             exec.fi_run(spec, golden, indices, on_done, &fork);
         std::string skipped;
-        for (std::size_t i : indices)
-          if (i < results.size() && results[i].verdict == "skipped")
-            skipped += (skipped.empty() ? "" : ",") + std::to_string(i);
+        for (std::size_t i : indices) {
+          if (i >= results.size() || results[i].verdict != "skipped") continue;
+          if (!skipped.empty()) skipped += ',';
+          skipped += std::to_string(i);
+        }
         send(ev_head("result", id) +
              ",\"fork\":" + fork_stats_to_json(fork) +
              ",\"skipped\":[" + skipped +

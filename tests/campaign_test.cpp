@@ -1,5 +1,5 @@
-// Campaign subsystem tests: thread-safe VP instances, the work-stealing
-// pool, spec parsing, the batch runner, and report aggregation.
+// Campaign subsystem tests: thread-safe VP instances, parallel_for, spec
+// parsing, the batch runner, and report aggregation.
 //
 // The load-bearing test is ParallelVp.TwoThreadsMatchSerial: two
 // VirtualPrototype instances on two std::threads must produce RunResults
@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -19,7 +20,6 @@
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/suites.hpp"
-#include "campaign/thread_pool.hpp"
 #include "dift/stats.hpp"
 #include "fw/benchmarks.hpp"
 #include "rvasm/assembler.hpp"
@@ -96,64 +96,68 @@ TEST(ParallelVp, ManyConcurrentDiftRunsAreIndependent) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool
+// parallel_for
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  campaign::ThreadPool pool(3);
-  std::atomic<int> hits{0};
-  for (int i = 0; i < 200; ++i) pool.submit([&] { ++hits; });
-  pool.wait_idle();
-  EXPECT_EQ(hits.load(), 200);
-  // The pool stays usable after wait_idle().
-  pool.submit([&] { ++hits; });
-  pool.wait_idle();
-  EXPECT_EQ(hits.load(), 201);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnWorkerThreads) {
-  campaign::ThreadPool pool(4);
+TEST(ParallelFor, CoversEveryIndexOnWorkerThreads) {
   constexpr std::size_t kN = 100;
   std::vector<int> seen(kN, 0);
   std::mutex m;
   std::set<std::thread::id> ids;
   const auto caller = std::this_thread::get_id();
-  pool.parallel_for(kN, [&](std::size_t i) {
+  campaign::parallel_for(kN, 4, [&](std::size_t i) {
     seen[i]++;
     std::lock_guard<std::mutex> lk(m);
     ids.insert(std::this_thread::get_id());
   });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(seen[i], 1) << "index " << i;
-  // Tasks run on pool workers, never on the caller.
+  // Tasks run on worker threads, never on the caller.
   EXPECT_EQ(ids.count(caller), 0u);
+  EXPECT_LE(ids.size(), 4u);
 }
 
-TEST(ThreadPool, ParallelForRethrowsTaskException) {
-  campaign::ThreadPool pool(2);
-  std::atomic<int> done{0};
-  try {
-    pool.parallel_for(16, [&](std::size_t i) {
-      if (i == 7) throw std::runtime_error("task 7 failed");
-      ++done;
-    });
-    FAIL() << "expected parallel_for to rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task 7 failed");
+TEST(ParallelFor, OneWorkerRunsInlineInIndexOrder) {
+  std::vector<std::size_t> order;
+  const auto caller = std::this_thread::get_id();
+  bool on_caller = true;
+  campaign::parallel_for(10, 1, [&](std::size_t i) {
+    order.push_back(i);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
+  EXPECT_TRUE(on_caller);
+  ASSERT_EQ(order.size(), 10u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  // No work is a no-op for any worker count.
+  campaign::parallel_for(0, 4, [&](std::size_t) { FAIL(); });
+}
+
+TEST(ParallelFor, RethrowsTaskException) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    std::atomic<int> done{0};
+    try {
+      campaign::parallel_for(16, workers, [&](std::size_t i) {
+        if (i == 7) throw std::runtime_error("task 7 failed");
+        ++done;
+      });
+      FAIL() << "expected parallel_for to rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 7 failed");
+    }
+    // The exception is raised only after every task ran.
+    EXPECT_EQ(done.load(), 15) << "workers " << workers;
   }
-  // The exception is raised only after every task ran.
-  EXPECT_EQ(done.load(), 15);
 }
 
-TEST(ThreadPool, JobsFromEnvParsesKnob) {
+TEST(ParallelFor, JobsFromEnvParsesKnob) {
   ::setenv("VPDIFT_JOBS", "3", 1);
-  EXPECT_EQ(campaign::ThreadPool::jobs_from_env(1), 3u);
+  EXPECT_EQ(campaign::jobs_from_env(1), 3u);
   ::setenv("VPDIFT_JOBS", "banana", 1);
-  EXPECT_EQ(campaign::ThreadPool::jobs_from_env(5), 5u);
+  EXPECT_EQ(campaign::jobs_from_env(5), 5u);
   ::setenv("VPDIFT_JOBS", "0", 1);
-  EXPECT_EQ(campaign::ThreadPool::jobs_from_env(5), 5u);
+  EXPECT_EQ(campaign::jobs_from_env(5), 5u);
   ::unsetenv("VPDIFT_JOBS");
-  EXPECT_EQ(campaign::ThreadPool::jobs_from_env(2), 2u);
-  EXPECT_GE(campaign::ThreadPool::jobs_from_env(0), 1u);
+  EXPECT_EQ(campaign::jobs_from_env(2), 2u);
+  EXPECT_GE(campaign::jobs_from_env(0), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@
 #include <random>
 #include <vector>
 
-#include "campaign/thread_pool.hpp"
+#include "campaign/runner.hpp"
 #include "dift/context.hpp"
 #include "micro_vm.hpp"
 #include "soc/dma.hpp"
@@ -191,7 +191,7 @@ INSTANTIATE_TEST_SUITE_P(ManySeeds, FuzzSeeds,
                          ::testing::Range(0u, 25u));
 
 // The same differential sweep through the campaign engine: every seed is an
-// independent job on the work-stealing pool (worker count from VPDIFT_JOBS,
+// independent parallel_for task (worker count from VPDIFT_JOBS,
 // default 4), and the parallel results must be bit-identical to a serial
 // run of the very same computation — the archetypal guard for the
 // thread_local active-context refactor, since each worker installs its own
@@ -220,10 +220,10 @@ TEST(FuzzCampaign, ParallelSeedsBitIdenticalToSerial) {
   for (std::uint32_t s = 0; s < kSeeds; ++s) serial[s] = fuzz_one(s);
 
   std::vector<SeedOutcome> parallel(kSeeds);
-  campaign::ThreadPool pool(campaign::ThreadPool::jobs_from_env(4));
-  pool.parallel_for(kSeeds, [&](std::size_t s) {
-    parallel[s] = fuzz_one(static_cast<std::uint32_t>(s));
-  });
+  campaign::parallel_for(kSeeds, campaign::jobs_from_env(4),
+                         [&](std::size_t s) {
+                           parallel[s] = fuzz_one(static_cast<std::uint32_t>(s));
+                         });
 
   for (std::uint32_t s = 0; s < kSeeds; ++s) {
     ASSERT_EQ(serial[s].plain, parallel[s].plain) << "seed " << s;

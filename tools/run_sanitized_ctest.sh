@@ -8,7 +8,7 @@
 # asan (default): AddressSanitizer+UBSan over the full tier-1 suite in
 #                 build-asan/.
 # tsan:           ThreadSanitizer over the concurrency surface — the campaign
-#                 subsystem (thread pool, runner, parallel VPs), the parallel
+#                 subsystem (parallel_for, runner, parallel VPs), the parallel
 #                 fuzz harness, and the CLI front ends — in build-tsan/.
 #                 TSan and ASan cannot share a process, hence the mode split.
 #
@@ -32,7 +32,7 @@ if [ "$mode" = tsan ]; then
   # BlockEngine are NOT matched by Fi[A-Z] — spell them out). The service
   # resilience suite joins the list because the worker heartbeat thread
   # shares the socketpair (and a progress counter) with the op loop.
-  filter='campaign|Campaign|ParallelVp|ThreadPool|Runner\.|Aggregator|FuzzCampaign|cli\.|Fi[A-Z]|ForkCampaign|BlockEngine|ServiceResilience|WorkerHeartbeat|ClientDeadline'
+  filter='campaign|Campaign|ParallelVp|ParallelFor|Runner\.|Aggregator|FuzzCampaign|cli\.|Fi[A-Z]|ForkCampaign|BlockEngine|ServiceResilience|WorkerHeartbeat|ClientDeadline'
 else
   build=${1:-"$repo/build-asan"}
   sanitize=ON

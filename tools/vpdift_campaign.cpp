@@ -63,7 +63,6 @@
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/suites.hpp"
-#include "campaign/thread_pool.hpp"
 #include "fi/fork.hpp"
 #include "fi/suite.hpp"
 #include "service/client.hpp"
@@ -242,7 +241,7 @@ int run_connected(const std::string& socket_path, const std::string& spec_path,
 
 int main(int argc, char** argv) {
   std::string spec_path, suite, out_path, connect_path;
-  std::size_t jobs = campaign::ThreadPool::jobs_from_env(1);
+  std::size_t jobs = campaign::jobs_from_env(1);
   std::uint64_t seed = 1;
   std::uint64_t connect_timeout_s = 30;
   bool quiet = false, list = false, fork_mode = false, force = false;
