@@ -3,12 +3,21 @@
 namespace vpdift::dift {
 
 void ShadowSummary::attach(Tag* tags, std::size_t size) {
+  attach_bottom(tags, size);
+  rebuild();
+}
+
+void ShadowSummary::attach_bottom(Tag* tags, std::size_t size) {
   tags_ = tags;
   size_ = tags ? size : 0;
-  blocks_.assign(tags ? (size_ + kBlockBytes - 1) >> kBlockShift : 0, 0);
+  blocks_.resize((size_ + kBlockBytes - 1) >> kBlockShift);
+  clear();
+}
+
+void ShadowSummary::clear() {
+  std::fill(blocks_.begin(), blocks_.end(), std::uint16_t{0});
   live_blocks_ = 0;
   ++generation_;
-  if (tags_) rebuild();
 }
 
 std::uint16_t ShadowSummary::rescan_block(std::size_t block) {
@@ -26,8 +35,11 @@ std::uint16_t ShadowSummary::rescan_block(std::size_t block) {
   return summary;
 }
 
-void ShadowSummary::rebuild() {
-  for (std::size_t b = 0; b < blocks_.size(); ++b) rescan_block(b);
+void ShadowSummary::rescan(std::size_t off, std::size_t len) {
+  len = std::min(len, size_ - std::min(off, size_));
+  if (len == 0) return;
+  const std::size_t b1 = (off + len - 1) >> kBlockShift;
+  for (std::size_t b = off >> kBlockShift; b <= b1; ++b) rescan_block(b);
 }
 
 void ShadowSummary::on_store_bytes(std::size_t off, std::size_t len) {

@@ -13,9 +13,10 @@
 // writers keep the summary coherent on every tag-plane store.
 //
 // Coherence contract: every write to the attached tag plane MUST be followed
-// by on_store()/on_store_bytes() over the written range (or rebuild() after
-// a bulk restore). The summary is conservative — kMixed is always safe — but
-// a uniform summary must never disagree with the plane.
+// by on_store()/on_store_bytes() over the written range (or rescan() after
+// a bulk copy such as a snapshot restore, clear() after zeroing the whole
+// plane). The summary is conservative — kMixed is always safe — but a
+// uniform summary must never disagree with the plane.
 //
 // A generation counter bumps on every summary change; the core memoises
 // "this fetch block is uniform and cleared for execution" against it, which
@@ -41,6 +42,9 @@ class ShadowSummary {
 
   /// Attaches to (and scans) a tag plane. Pass nullptr to detach.
   void attach(Tag* tags, std::size_t size);
+  /// Attaches to a plane known to be all kBottomTag (e.g. freshly mapped
+  /// demand-zero memory) without reading it.
+  void attach_bottom(Tag* tags, std::size_t size);
   bool attached() const { return tags_ != nullptr; }
 
   std::size_t block_count() const { return blocks_.size(); }
@@ -100,8 +104,15 @@ class ShadowSummary {
   /// to the plane at [off, off+len)). Scans only the written run per block.
   void on_store_bytes(std::size_t off, std::size_t len);
 
-  /// Rescans the whole plane (e.g. after a snapshot restore memcpy'd it).
-  void rebuild();
+  /// The attached plane was zeroed wholesale: every block is kBottomTag.
+  /// Bumps the generation (fetch memos keyed on it must re-check).
+  void clear();
+
+  /// Rescans the blocks overlapping [off, off+len), clipped to the plane
+  /// (e.g. pages a snapshot restore copied into the plane).
+  void rescan(std::size_t off, std::size_t len);
+  /// Rescans the whole plane.
+  void rebuild() { rescan(0, size_); }
 
   /// Rescans one block; returns its new summary. Used by rebuild() and by
   /// tests asserting the summary/plane coherence invariant.

@@ -64,11 +64,10 @@ struct ForkStats {
 /// the warm path of a repeated fork campaign. A site already cached replays
 /// its tails straight from the stored snapshot (or synthesizes its result
 /// from the stored golden outcome for sites the cursor never reached)
-/// without running a cursor at all. Single-threaded by design: snapshots
-/// are heavyweight (~RAM size each) and the golden JobResult embeds
-/// thread-confined provenance, so a cache must only ever be driven from one
-/// thread — the serial run_forked_subset path (the service's worker
-/// processes each own one per suite).
+/// without running a cursor at all. Single-threaded by design: the golden
+/// JobResult embeds thread-confined provenance, so a cache must only ever be
+/// driven from one thread — the serial run_forked_subset path (the service's
+/// worker processes each own one per suite).
 struct FiSiteCache {
   struct Entry {
     std::shared_ptr<const vp::VpSnapshot> snap;  ///< null when unreached
@@ -82,8 +81,9 @@ struct FiSiteCache {
   campaign::JobResult golden;
   bool have_golden = false;
 
-  /// Stored-snapshot bound: a full-fidelity snapshot is about the size of
-  /// the VP's RAM + tag plane, so an unbounded cache would grow by ~8 MB per
+  /// Stored-snapshot bound: a snapshot holds the RAM and tag pages the
+  /// firmware wrote (tens of KiB for the built-in firmware, up to twice the
+  /// RAM size at worst), so an unbounded cache would grow by that much per
   /// distinct site. When full, further sites run cold (deterministically) —
   /// they are simply never stored, not evicted.
   std::size_t snapshot_cap = 64;

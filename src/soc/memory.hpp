@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "dift/shadow.hpp"
 #include "dift/tag.hpp"
@@ -16,16 +16,28 @@ namespace vpdift::soc {
 
 /// Byte-addressable RAM. In the DIFT build every byte carries a dift::Tag in
 /// a parallel plane; the plain VP allocates no tag storage at all.
+///
+/// Both planes are demand-zero anonymous mappings: construction touches no
+/// page, a page costs host memory only once the firmware (or a restore)
+/// writes it, and clear() hands every page back. Zero data and kBottomTag
+/// (== 0) tags are therefore free. The plane pointers are fixed for the
+/// object's lifetime, so DMI pointers taken from data()/tags() stay valid.
 class Memory : public sysc::Module {
  public:
   Memory(sysc::Simulation& sim, std::string name, std::size_t size, bool track_tags);
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
 
   tlmlite::TargetSocket& socket() { return tsock_; }
 
-  std::uint8_t* data() { return data_.data(); }
-  dift::Tag* tags() { return tags_.empty() ? nullptr : tags_.data(); }
-  std::size_t size() const { return data_.size(); }
-  bool tracks_tags() const { return !tags_.empty(); }
+  std::uint8_t* data() { return data_.get(); }
+  dift::Tag* tags() { return tags_.get(); }
+  std::size_t size() const { return size_; }
+  bool tracks_tags() const { return tags_ != nullptr; }
+
+  /// Zeroes both planes (data 0, tags kBottomTag) by dropping their pages,
+  /// and resets the shadow summary to all-bottom (bumping its generation).
+  void clear();
 
   /// Copies all program segments into RAM. Segment addresses are absolute
   /// bus addresses; `ram_base` is this memory's mapping base.
@@ -47,17 +59,27 @@ class Memory : public sysc::Module {
   /// Block-summary layer over the tag plane (unattached when untracked).
   dift::ShadowSummary& shadow() { return shadow_; }
   const dift::ShadowSummary& shadow() const { return shadow_; }
-  /// Call after writing the tag plane directly (e.g. snapshot restore).
-  void rebuild_summary() { shadow_.rebuild(); }
   /// Reads served from a uniform block without touching the tag plane.
   std::uint64_t summary_hits() const { return summary_hits_; }
 
  private:
+  /// Unmaps a plane (the deleter of Plane; `bytes` is the mapped length).
+  struct Unmap {
+    std::size_t bytes = 0;
+    void operator()(std::uint8_t* p) const;
+  };
+  /// One byte plane (dift::Tag is a byte too).
+  using Plane = std::unique_ptr<std::uint8_t[], Unmap>;
+
+  /// Maps `bytes` of demand-zero memory (an empty plane for 0 bytes).
+  static Plane map_plane(std::size_t bytes);
+
   void transport(tlmlite::Payload& p, sysc::Time& delay);
 
   tlmlite::TargetSocket tsock_;
-  std::vector<std::uint8_t> data_;
-  std::vector<dift::Tag> tags_;
+  const std::size_t size_;
+  Plane data_;
+  Plane tags_;
   dift::ShadowSummary shadow_;
   std::uint64_t summary_hits_ = 0;
 };

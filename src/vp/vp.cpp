@@ -1,10 +1,44 @@
 #include "vp/vp.hpp"
+
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 
 namespace vpdift::vp {
 
 namespace am = soc::addrmap;
+
+PageImage PageImage::capture(const std::uint8_t* plane, std::size_t size) {
+  static constexpr std::uint8_t kZeroPage[kPageBytes] = {};
+  PageImage img;
+  img.plane_size_ = size;
+  for (std::size_t off = 0; off < size; off += kPageBytes) {
+    const std::size_t n = std::min(kPageBytes, size - off);
+    if (std::memcmp(plane + off, kZeroPage, n) == 0) continue;
+    img.pages_.push_back(static_cast<std::uint32_t>(off / kPageBytes));
+    img.bytes_.insert(img.bytes_.end(), plane + off, plane + off + n);
+    img.bytes_.resize(img.pages_.size() * kPageBytes);  // pad a partial page
+  }
+  return img;
+}
+
+void PageImage::copy_to(std::uint8_t* plane) const {
+  for (std::size_t i = 0; i < pages_.size(); ++i) {
+    const std::size_t off = std::size_t{pages_[i]} * kPageBytes;
+    std::memcpy(plane + off, bytes_.data() + i * kPageBytes,
+                std::min(kPageBytes, plane_size_ - off));
+  }
+}
+
+std::uint8_t PageImage::at(std::size_t off) const {
+  if (off >= plane_size_)
+    throw std::out_of_range("PageImage::at past the plane");
+  const auto page = static_cast<std::uint32_t>(off / kPageBytes);
+  const auto it = std::lower_bound(pages_.begin(), pages_.end(), page);
+  if (it == pages_.end() || *it != page) return 0;
+  return bytes_[std::size_t(it - pages_.begin()) * kPageBytes + off % kPageBytes];
+}
 
 const char* to_string(ExitReason reason) {
   switch (reason) {
@@ -140,11 +174,7 @@ void VirtualPrototype<W>::reset(bool keep_translations) {
   boot_pc_ = am::kRamBase;
 
   // Memory: zero data, bottom tags, fresh summaries.
-  std::memset(ram_.data(), 0, ram_.size());
-  if (ram_.tags()) {
-    std::memset(ram_.tags(), dift::kBottomTag, ram_.size());
-    ram_.rebuild_summary();
-  }
+  ram_.clear();
 
   // Peripherals: power-on state (State{} defaults equal the member
   // initializers — pinned by the warm re-arm tests).
@@ -259,8 +289,8 @@ auto VirtualPrototype<W>::snapshot() -> Snapshot {
   s.csrs = core_.csrs();
   s.instret = core_.instret();
   s.wfi = core_.in_wfi();
-  s.ram.assign(ram_.data(), ram_.data() + ram_.size());
-  if (ram_.tags()) s.ram_tags.assign(ram_.tags(), ram_.tags() + ram_.size());
+  s.ram = PageImage::capture(ram_.data(), ram_.size());
+  if (ram_.tags()) s.ram_tags = PageImage::capture(ram_.tags(), ram_.size());
   s.captured_at = sim_->now();
 
   // CPU process phase. Mid-quantum (arm_fault callback): the quantum's
@@ -291,7 +321,8 @@ auto VirtualPrototype<W>::snapshot() -> Snapshot {
 
 template <typename W>
 void VirtualPrototype<W>::restore(const Snapshot& s) {
-  if (s.ram.size() != ram_.size())
+  if (s.ram.plane_size() != ram_.size() ||
+      (!s.ram_tags.empty() && s.ram_tags.plane_size() != ram_.size()))
     throw std::invalid_argument("snapshot RAM size mismatch");
   for (int r = 1; r < 32; ++r)
     core_.set_reg(static_cast<std::uint8_t>(r),
@@ -299,17 +330,16 @@ void VirtualPrototype<W>::restore(const Snapshot& s) {
   core_.set_pc(s.pc);
   core_.csrs() = s.csrs;
   core_.restore_counters(s.instret, s.wfi);
-  std::memcpy(ram_.data(), s.ram.data(), s.ram.size());
+  // Zero both planes (and reset the summary to all-bottom), then write back
+  // the stored pages; only the summary blocks under stored tag pages can
+  // differ from bottom, so only those are rescanned.
+  ram_.clear();
+  s.ram.copy_to(ram_.data());
   if (ram_.tags()) {
-    if (!s.ram_tags.empty()) {
-      std::memcpy(ram_.tags(), s.ram_tags.data(), s.ram_tags.size());
-    } else {
-      // Snapshot from a plain VP: it carries no tag plane. Stale tags from
-      // the pre-restore run must not leak into the restored world — clear
-      // to the bottom element instead.
-      std::memset(ram_.tags(), dift::kBottomTag, ram_.size());
-    }
-    ram_.rebuild_summary();  // block summaries must mirror the restored plane
+    s.ram_tags.copy_to(ram_.tags());
+    for (const std::uint32_t page : s.ram_tags.pages())
+      ram_.shadow().rescan(std::size_t{page} * PageImage::kPageBytes,
+                           PageImage::kPageBytes);
   }
   // RAM changed behind the store path: cached translations (and chained
   // block successors) may now point at stale code bytes, and smc_break_

@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "dift/context.hpp"
 #include "dift/policy.hpp"
@@ -122,6 +123,38 @@ struct VpConfig {
 /// and rebuilding. Field-by-field equality, including the flash image.
 bool config_equivalent(const VpConfig& a, const VpConfig& b);
 
+/// Sparse image of a zero-initialised byte plane (RAM, or its tag plane):
+/// only the 4 KiB pages holding a non-zero byte are kept, packed in page
+/// order. Zero data and kBottomTag (== 0) tags cost nothing, so an image is
+/// as large as what the firmware wrote, not as large as the RAM.
+class PageImage {
+ public:
+  static constexpr std::size_t kPageBytes = 4096;
+
+  /// Captures the pages of `plane` (`size` bytes) that hold a non-zero byte.
+  static PageImage capture(const std::uint8_t* plane, std::size_t size);
+  /// Writes the stored pages into `plane` (plane_size() bytes); every other
+  /// byte is left as it is, so the caller zeroes the plane first.
+  void copy_to(std::uint8_t* plane) const;
+
+  /// Size of the captured plane (0 when nothing was captured).
+  std::size_t plane_size() const { return plane_size_; }
+  /// Bytes held: kPageBytes per stored page.
+  std::size_t size() const { return bytes_.size(); }
+  /// True iff no page is stored (the plane was all zero).
+  bool empty() const { return pages_.empty(); }
+  /// Byte at plane offset `off` (zero outside the stored pages). Throws
+  /// std::out_of_range past plane_size().
+  std::uint8_t at(std::size_t off) const;
+  /// Stored page indices (plane offset / kPageBytes), ascending.
+  const std::vector<std::uint32_t>& pages() const { return pages_; }
+
+ private:
+  std::size_t plane_size_ = 0;
+  std::vector<std::uint32_t> pages_;
+  std::vector<std::uint8_t> bytes_;  ///< kPageBytes per page, zero-padded
+};
+
 /// Full-fidelity VP checkpoint: architectural CPU state, RAM (with tag
 /// plane), every peripheral's internal state, and the scheduling phase of
 /// each kernel process (CPU quantum progress, pending wake times).
@@ -144,10 +177,11 @@ bool config_equivalent(const VpConfig& a, const VpConfig& b);
 ///    `fault_was_armed`/`fault_trigger` record that one existed (the
 ///    callback itself is not serialisable) and restore() disarms.
 ///
-/// The struct is deliberately not a template: a plain-VP snapshot has an
-/// empty `ram_tags`; restoring it into a DIFT VP clears the target's tag
-/// plane to kBottomTag (and rebuilds the shadow summary) rather than
-/// silently keeping stale tags.
+/// RAM and tags are sparse PageImages. restore() zeroes both target planes
+/// and writes back only the stored pages, so nothing of the target's earlier
+/// run survives. The struct is deliberately not a template: a plain-VP
+/// snapshot has an empty `ram_tags`, which restores into a DIFT VP exactly
+/// like an all-kBottomTag tag plane.
 struct VpSnapshot {
   std::array<std::uint32_t, 32> reg_values{};
   std::array<dift::Tag, 32> reg_tags{};
@@ -155,8 +189,8 @@ struct VpSnapshot {
   rv::CsrFile csrs;
   std::uint64_t instret = 0;
   bool wfi = false;
-  std::vector<std::uint8_t> ram;
-  std::vector<dift::Tag> ram_tags;
+  PageImage ram;
+  PageImage ram_tags;
   sysc::Time captured_at;
 
   // CPU process phase: instructions already retired inside the interrupted

@@ -54,7 +54,10 @@ TEST(PowersetLattice, ThreeCategoriesAxiomsHold) {
 
 TEST(PowersetLattice, TooManyCategoriesRejected) {
   std::vector<std::string> cats(9, "x");
-  for (int i = 0; i < 9; ++i) cats[i] = "C" + std::to_string(i);
+  for (int i = 0; i < 9; ++i) {
+    cats[i] = "C";
+    cats[i] += std::to_string(i);
+  }
   EXPECT_THROW(Lattice::powerset(cats), dift::LatticeError);
   EXPECT_EQ(Lattice::powerset({}).size(), 1u);  // degenerate: just "{}"
 }

@@ -12,12 +12,14 @@
 //    retires fewer instructions, observably via CacheStats,
 //  * cooperative cancel skips cleanly and the aggregate report says so.
 #include <dirent.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -605,12 +607,21 @@ TEST(ServiceDaemon, WorkerCrashMidSubmissionNeitherWedgesNorLosesTheDaemon) {
   const std::string sock = temp_socket_path();
   const pid_t daemon = fork_daemon(sock, 2);
 
-  // Submit from a separate process so the kill lands mid-flight.
+  // Submit from a separate process so the kill lands mid-flight: the
+  // child reports its first job event through a pipe, and the workers die
+  // while the other 39 jobs are still queued or running.
+  int first_job[2];
+  ASSERT_EQ(::pipe(first_job), 0);
   const pid_t kid = ::fork();
   if (kid == 0) {
+    ::close(first_job[0]);
     try {
       service::Client c(sock);
-      const service::Outcome o = c.submit_ref("fi:attack:3:40", 5, 2);
+      bool told = false;
+      const service::Outcome o = c.submit_ref(
+          "fi:attack:3:40", 5, 2, [&](const service::JobEvent&) {
+            if (!told) told = ::write(first_job[1], "j", 1) == 1;
+          });
       // Either a report (crash verdicts included) or a clean error event:
       // what matters is that the daemon answered at all.
       ::_exit(!o.report.empty() || !o.error.empty() ? 0 : 1);
@@ -618,8 +629,15 @@ TEST(ServiceDaemon, WorkerCrashMidSubmissionNeitherWedgesNorLosesTheDaemon) {
       ::_exit(1);
     }
   }
-  ::usleep(100 * 1000);  // let the submission reach the workers
-  for (const pid_t w : children_of(daemon)) ::kill(w, SIGKILL);
+  ::close(first_job[1]);
+  pollfd pfd{first_job[0], POLLIN, 0};
+  char byte = 0;
+  const bool in_flight = ::poll(&pfd, 1, 120 * 1000) == 1 &&
+                         ::read(first_job[0], &byte, 1) == 1;
+  ::close(first_job[0]);
+  EXPECT_TRUE(in_flight) << "the submission never reported a job";
+  const std::vector<pid_t> killed = children_of(daemon);
+  for (const pid_t w : killed) ::kill(w, SIGKILL);
 
   int st = 0;
   if (!wait_exit(kid, &st, 120)) {
@@ -630,8 +648,19 @@ TEST(ServiceDaemon, WorkerCrashMidSubmissionNeitherWedgesNorLosesTheDaemon) {
   }
   EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
 
-  // The daemon must have respawned its workers: a fresh submission works
-  // end to end.
+  // The daemon must have respawned its workers (two children, none of them
+  // a killed one), and a fresh submission then works end to end.
+  bool respawned = false;
+  for (int i = 0; i < 200 && !respawned; ++i) {
+    const std::vector<pid_t> now = children_of(daemon);
+    respawned = now.size() == 2 &&
+                std::none_of(now.begin(), now.end(), [&](pid_t p) {
+                  return std::find(killed.begin(), killed.end(), p) !=
+                         killed.end();
+                });
+    if (!respawned) ::usleep(50 * 1000);
+  }
+  EXPECT_TRUE(respawned) << "the daemon did not respawn its workers";
   service::Client c2(sock);
   const service::Outcome again = c2.submit_ref("fi:attack:3:4", 6, 2);
   EXPECT_TRUE(again.error.empty()) << again.error;

@@ -131,6 +131,42 @@ TEST(MemoryPeriph, LoadImageRejectsOutOfRangeSegment) {
   EXPECT_THROW(mem.load_image(p, 0x80000000), std::out_of_range);
 }
 
+TEST(MemoryPeriph, ZeroSizeMapsNothing) {
+  sysc::Simulation sim;
+  soc::Memory mem(sim, "ram", 0, /*track_tags=*/true);
+  EXPECT_EQ(mem.size(), 0u);
+  EXPECT_EQ(mem.data(), nullptr);
+  EXPECT_FALSE(mem.tracks_tags());
+  mem.clear();
+  Io io{&mem.socket(), true};
+  EXPECT_EQ(io.write32(0, 1), Response::kAddressError);
+}
+
+TEST(MemoryPeriph, ClearZeroesBothPlanesAndResetsTheSummary) {
+  sysc::Simulation sim;
+  const std::size_t size = 2 * 4096 + 100;  // partial last page
+  soc::Memory mem(sim, "ram", size, /*track_tags=*/true);
+  Io io{&mem.socket(), true};
+  ASSERT_EQ(io.write32(0, 0x11223344, 3), Response::kOk);
+  ASSERT_EQ(io.write32(size - 4, 0x55667788, 2), Response::kOk);
+  mem.classify(4096, 64, 5);
+  ASSERT_FALSE(mem.shadow().all_bottom());
+  const std::uint64_t gen = mem.shadow().generation();
+
+  mem.clear();
+  for (std::size_t i = 0; i < size; ++i) {
+    ASSERT_EQ(mem.data()[i], 0) << i;
+    ASSERT_EQ(mem.tags()[i], dift::kBottomTag) << i;
+  }
+  EXPECT_TRUE(mem.shadow().all_bottom());
+  EXPECT_GT(mem.shadow().generation(), gen);
+  // The planes stay mapped at the same addresses and take new writes.
+  EXPECT_EQ(io.write32(size - 4, 9, 1), Response::kOk);
+  dift::Tag t = 0;
+  EXPECT_EQ(io.read32(size - 4, &t), 9u);
+  EXPECT_EQ(t, 1);
+}
+
 // ---- UART ----
 
 class UartTest : public ::testing::Test {

@@ -2,6 +2,11 @@
 // violation context, taint statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <random>
+#include <vector>
+
 #include "fw/benchmarks.hpp"
 #include "fw/hal.hpp"
 #include "fw/immobilizer.hpp"
@@ -227,7 +232,8 @@ TEST(VpSnapshot, CapturesTagsOnTheDiftVp) {
 TEST(VpSnapshot, SizeMismatchRejected) {
   vp::Vp v;
   vp::Vp::Snapshot bogus;
-  bogus.ram.resize(16);
+  const std::uint8_t small_plane[16] = {};
+  bogus.ram = vp::PageImage::capture(small_plane, sizeof small_plane);
   EXPECT_THROW(v.restore(bogus), std::invalid_argument);
 }
 
@@ -287,6 +293,138 @@ TEST(VpSnapshot, PlainSnapshotClearsDiftTagPlane) {
   dift::Tag t = 0xff;
   EXPECT_TRUE(d.ram().shadow().uniform(pin_off, 16, &t));
   EXPECT_EQ(t, dift::kBottomTag);
+}
+
+// --- Sparse page images: an oracle over random planes --------------------
+
+constexpr std::size_t kPage = vp::PageImage::kPageBytes;
+
+/// A RAM size that is not a page multiple, so the last page is partial.
+vp::VpConfig odd_ram_config() {
+  vp::VpConfig cfg;
+  cfg.ram_size = 10 * kPage + 1234;
+  return cfg;
+}
+
+/// Writes seeded random non-zero bytes into the given pages of a plane: each
+/// page's first and last byte (the plane's last byte on a partial tail page)
+/// plus a few at random offsets.
+void scatter(std::uint8_t* plane, std::size_t size, std::mt19937& rng,
+             const std::vector<std::size_t>& pages) {
+  std::uniform_int_distribution<int> value(1, 255);
+  for (const std::size_t page : pages) {
+    const std::size_t lo = page * kPage;
+    const std::size_t hi = std::min(lo + kPage, size) - 1;
+    std::uniform_int_distribution<std::size_t> offset(lo, hi);
+    plane[lo] = static_cast<std::uint8_t>(value(rng));
+    plane[hi] = static_cast<std::uint8_t>(value(rng));
+    for (int i = 0; i < 16; ++i)
+      plane[offset(rng)] = static_cast<std::uint8_t>(value(rng));
+  }
+}
+
+/// Fills both planes of `v` (data on `data_pages`, tags on `tag_pages`) and
+/// re-syncs the summary with the directly written tag plane.
+void fill_random(vp::VpDift& v, unsigned seed,
+                 const std::vector<std::size_t>& data_pages,
+                 const std::vector<std::size_t>& tag_pages) {
+  std::mt19937 rng(seed);
+  scatter(v.ram().data(), v.ram().size(), rng, data_pages);
+  scatter(v.ram().tags(), v.ram().size(), rng, tag_pages);
+  v.ram().shadow().rebuild();
+}
+
+std::size_t nonzero_pages(const std::uint8_t* plane, std::size_t size) {
+  std::size_t n = 0;
+  for (std::size_t lo = 0; lo < size; lo += kPage) {
+    const std::uint8_t* end = plane + std::min(lo + kPage, size);
+    n += std::any_of(plane + lo, end, [](std::uint8_t b) { return b != 0; });
+  }
+  return n;
+}
+
+/// Both planes of `dst` equal `src`'s byte for byte, every block summary
+/// equals a fresh rescan, and the live-block count matches.
+void expect_same_planes(vp::VpDift& dst, vp::VpDift& src) {
+  const std::size_t n = src.ram().size();
+  ASSERT_EQ(dst.ram().size(), n);
+  EXPECT_EQ(std::memcmp(dst.ram().data(), src.ram().data(), n), 0);
+  EXPECT_EQ(std::memcmp(dst.ram().tags(), src.ram().tags(), n), 0);
+  dift::ShadowSummary& sh = dst.ram().shadow();
+  const std::size_t live = sh.live_blocks();
+  for (std::size_t b = 0; b < sh.block_count(); ++b) {
+    const std::uint16_t held = sh.block_summary(b);
+    EXPECT_EQ(held, sh.rescan_block(b)) << "block " << b;
+  }
+  EXPECT_EQ(sh.live_blocks(), live);
+  EXPECT_EQ(live, src.ram().shadow().live_blocks());
+}
+
+TEST(VpSnapshot, SparseImageHoldsOnlyNonZeroPages) {
+  vp::VpDift src(odd_ram_config());
+  const std::size_t n = src.ram().size();
+  const std::size_t last = (n - 1) / kPage;
+  fill_random(src, 1, {0, 3, 4, last}, {1, 3, last});
+  const auto snap = src.snapshot();
+
+  EXPECT_EQ(snap.ram.plane_size(), n);
+  EXPECT_EQ(snap.ram.size(), kPage * nonzero_pages(src.ram().data(), n));
+  EXPECT_EQ(snap.ram_tags.size(), kPage * nonzero_pages(src.ram().tags(), n));
+  EXPECT_EQ(snap.ram.size(), 4 * kPage);
+  EXPECT_EQ(snap.ram_tags.size(), 3 * kPage);
+  for (const std::size_t off : {std::size_t{0}, kPage - 1, 2 * kPage, n - 1}) {
+    EXPECT_EQ(snap.ram.at(off), src.ram().data()[off]) << off;
+    EXPECT_EQ(snap.ram_tags.at(off), src.ram().tags()[off]) << off;
+  }
+  EXPECT_THROW((void)snap.ram.at(n), std::out_of_range);
+}
+
+TEST(VpSnapshot, SparseRestoreIntoFreshVpMatchesTheSource) {
+  vp::VpDift src(odd_ram_config());
+  const std::size_t last = (src.ram().size() - 1) / kPage;
+  fill_random(src, 2, {0, 3, 4, last}, {1, 3, last});
+  const auto snap = src.snapshot();
+
+  vp::VpDift dst(odd_ram_config());
+  dst.restore(snap);
+  expect_same_planes(dst, src);
+}
+
+TEST(VpSnapshot, SparseRestoreIntoStartedVpDropsItsOldPlanes) {
+  vp::VpDift src(odd_ram_config());
+  const std::size_t last = (src.ram().size() - 1) / kPage;
+  fill_random(src, 3, {0, 3, 4, last}, {1, 3, last});
+  const auto snap = src.snapshot();
+
+  rvasm::Assembler a(soc::addrmap::kRamBase);
+  a.label("spin");
+  a.j("spin");
+  vp::VpDift dst(odd_ram_config());
+  dst.load(a.assemble());
+  (void)dst.run(sysc::Time::us(20));
+  // Other data on other pages (and overlapping ones), which the restore
+  // must not leave behind.
+  fill_random(dst, 4, {2, 3, 5, 9, last}, {0, 2, 7, 9});
+  ASSERT_FALSE(dst.ram().shadow().all_bottom());
+  dst.restore(snap);
+  expect_same_planes(dst, src);
+}
+
+TEST(VpSnapshot, ResetAfterTaintedRunZeroesBothPlanes) {
+  const auto prog = fw::make_immobilizer(fw::ImmoVariant::kFixedDump, kPin, 1);
+  vp::VpDift v;
+  v.load(prog);
+  auto bundle = vp::scenarios::make_immobilizer_policy(prog, false);
+  v.apply_policy(bundle.policy);
+  (void)v.run(sysc::Time::ms(2));
+  ASSERT_FALSE(v.ram().shadow().all_bottom());
+  ASSERT_GT(v.core().instret(), 0u);
+
+  v.reset();
+  const std::vector<std::uint8_t> zero(v.ram().size(), 0);
+  EXPECT_EQ(std::memcmp(v.ram().data(), zero.data(), zero.size()), 0);
+  EXPECT_EQ(std::memcmp(v.ram().tags(), zero.data(), zero.size()), 0);
+  EXPECT_TRUE(v.ram().shadow().all_bottom());
 }
 
 }  // namespace

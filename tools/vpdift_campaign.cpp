@@ -444,6 +444,10 @@ int main(int argc, char** argv) {
       return 1;
     }
 
+    // Every job finished: report them in spec order (the index-ordered
+    // `results`), not in the completion order on_done saw them in.
+    agg = campaign::Aggregator{};
+    for (const auto& r : results) agg.add(r);
     std::fprintf(prog, "%s\n", agg.summary(spec.name, wall).c_str());
 
     if (fi_suite) {
